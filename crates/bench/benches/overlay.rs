@@ -1,6 +1,7 @@
 //! Criterion micro/meso benchmarks over the overlay and substrate:
-//! wire codec, greedy routing, ring convergence, simulator event
-//! throughput, TCP stack throughput, and the shortcut score update.
+//! wire codec, greedy routing, the keepalive and linking timers, ring
+//! convergence, simulator event throughput, TCP stack throughput, and the
+//! shortcut score update.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
@@ -13,8 +14,10 @@ use wow_netsim::prelude::*;
 use wow_overlay::addr::Address;
 use wow_overlay::config::OverlayConfig;
 use wow_overlay::conn::{ConnTable, ConnType};
+use wow_overlay::linking::LinkingManager;
 use wow_overlay::node::BrunetNode;
 use wow_overlay::overlord::ShortcutOverlord;
+use wow_overlay::ping::PingManager;
 use wow_overlay::uri::TransportUri;
 use wow_overlay::wire::{Body, Frame, Packet};
 use wow_vnet::tcp::{TcpConfig, TcpConn};
@@ -76,6 +79,76 @@ fn bench_shortcut_score(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+}
+
+/// What a node's timers cost per driver cycle, against how many entries the
+/// managers hold: an ordinary node (8), a join-storm introducer (512), a
+/// 100k-storm introducer (8 192). One entry is due, the rest are parked a
+/// ping interval / retransmit timeout out — the usual tick. The point is
+/// that the curve is flat in n: a tick costs what is due, not what is
+/// tracked.
+fn bench_timers(c: &mut Criterion) {
+    let cfg = OverlayConfig::default();
+    let hot = Address([0x80; 20]);
+    for n in [8usize, 512, 8192] {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let parked: Vec<Address> = (1..n).map(|_| Address::random(&mut rng)).collect();
+        let earlier = SimTime::from_secs(100);
+        let now = earlier + cfg.ping_interval;
+
+        let mut pinger = PingManager::new();
+        for &p in &parked {
+            pinger.track(p, now, &cfg);
+        }
+        pinger.track(hot, now, &cfg);
+        let mut cmds = Vec::new();
+        c.bench_function(&format!("ping_poll_1due_n{n}"), |b| {
+            b.iter(|| {
+                // Heard one interval ago: due exactly now.
+                pinger.heard(hot, earlier, &cfg);
+                cmds.clear();
+                pinger.poll(now, &cfg, &mut cmds);
+                cmds.len()
+            })
+        });
+        c.bench_function(&format!("ping_next_deadline_n{n}"), |b| {
+            b.iter(|| pinger.next_deadline())
+        });
+        let mut t = now;
+        let mut i = 0;
+        c.bench_function(&format!("ping_heard_n{n}"), |b| {
+            b.iter(|| {
+                t += SimDuration::from_micros(1);
+                i = (i + 1) % parked.len();
+                pinger.heard(parked[i], t, &cfg);
+            })
+        });
+
+        let uris = vec![TransportUri::udp(PhysAddr::new(
+            PhysIp::new(10, 0, 0, 1),
+            4000,
+        ))];
+        let mut linking = LinkingManager::new();
+        let mut cmds = Vec::new();
+        for &p in &parked {
+            linking.start(now, p, ConnType::StructuredNear, uris.clone());
+        }
+        // First transmission out; every parked attempt now waits one RTO.
+        linking.poll(now, &cfg, &mut cmds);
+        c.bench_function(&format!("linking_poll_1due_n{n}"), |b| {
+            b.iter(|| {
+                // A fresh attempt is due immediately.
+                linking.cancel(hot);
+                linking.start(now, hot, ConnType::Shortcut, uris.clone());
+                cmds.clear();
+                linking.poll(now, &cfg, &mut cmds);
+                cmds.len()
+            })
+        });
+        c.bench_function(&format!("linking_next_deadline_n{n}"), |b| {
+            b.iter(|| linking.next_deadline())
+        });
+    }
 }
 
 fn bench_ring_convergence(c: &mut Criterion) {
@@ -159,6 +232,7 @@ fn bench_tcp(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_wire, bench_routing, bench_shortcut_score, bench_ring_convergence, bench_tcp
+    targets = bench_wire, bench_routing, bench_shortcut_score, bench_timers, bench_ring_convergence,
+        bench_tcp
 }
 criterion_main!(benches);

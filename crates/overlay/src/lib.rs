@@ -58,6 +58,7 @@ pub mod addr;
 pub mod bootstrap;
 pub mod config;
 pub mod conn;
+mod deadline;
 pub mod driver;
 pub mod linking;
 pub mod node;

@@ -12,6 +12,17 @@
 //!
 //! This module is a pure state machine: inputs are protocol events plus the
 //! current time; outputs are [`LinkCmd`]s for the node to act on.
+//!
+//! # Timer contract
+//!
+//! Same as [`crate::ping`]: every attempt has exactly one deadline (its next
+//! transmission while active, the end of its stand-down while backed off),
+//! all of them sit in an ordered index beside the attempts, and every
+//! method that moves a deadline moves the index entry with it.
+//! [`LinkingManager::next_deadline`] is the index minimum — exact, because
+//! runtimes arm their wake-up from it — and [`LinkingManager::poll`] visits
+//! only attempts with `deadline <= now`, in ascending [`Address`] order,
+//! emitting every [`LinkCmd::Failed`] after every [`LinkCmd::SendRequest`].
 
 use std::collections::HashMap;
 
@@ -22,6 +33,7 @@ use wow_netsim::time::{SimDuration, SimTime};
 use crate::addr::Address;
 use crate::config::OverlayConfig;
 use crate::conn::ConnType;
+use crate::deadline::DeadlineIndex;
 use crate::uri::TransportUri;
 
 /// What the node should do as a result of linking progress.
@@ -84,10 +96,22 @@ struct Attempt {
     retries_override: Option<u32>,
 }
 
+impl Attempt {
+    /// When [`LinkingManager::poll`] next has work for this attempt.
+    fn deadline(&self) -> SimTime {
+        match self.state {
+            AttemptState::Active => self.next_send,
+            AttemptState::BackedOff { until } => until,
+        }
+    }
+}
+
 /// Manager of all in-flight linking attempts of one node.
 #[derive(Debug, Default)]
 pub struct LinkingManager {
     attempts: HashMap<Address, Attempt>,
+    /// One entry per entry of `attempts`, at that attempt's deadline.
+    queue: DeadlineIndex,
     next_attempt_id: u64,
 }
 
@@ -167,49 +191,62 @@ impl LinkingManager {
                 retries_override: retries,
             },
         );
+        self.queue.insert(now, peer);
+        debug_assert_eq!(self.queue.len(), self.attempts.len());
+    }
+
+    /// Drop the attempt to `peer` and its index entry.
+    fn remove(&mut self, peer: Address) -> Option<Attempt> {
+        let a = self.attempts.remove(&peer)?;
+        self.queue.remove(a.deadline(), peer);
+        debug_assert_eq!(self.queue.len(), self.attempts.len());
+        Some(a)
     }
 
     /// Abandon any attempt to `peer` (e.g. the connection formed passively).
     pub fn cancel(&mut self, peer: Address) {
-        self.attempts.remove(&peer);
+        self.remove(peer);
     }
 
     /// The peer was linked by other means (passive accept); same as cancel
     /// but reads better at call sites.
     pub fn satisfied(&mut self, peer: Address) {
-        self.attempts.remove(&peer);
+        self.remove(peer);
     }
 
     /// Earliest time at which [`LinkingManager::poll`] has work to do.
+    /// Exact.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.attempts
-            .values()
-            .map(|a| match a.state {
-                AttemptState::Active => a.next_send,
-                AttemptState::BackedOff { until } => until,
-            })
-            .min()
+        self.queue.next()
+    }
+
+    /// Whether the deadline index mirrors the attempts exactly (the
+    /// module-level invariant). O(n log n); for tests.
+    pub fn index_agrees(&self) -> bool {
+        self.queue.len() == self.attempts.len()
+            && self
+                .attempts
+                .iter()
+                .all(|(&peer, a)| self.queue.contains(a.deadline(), peer))
     }
 
     /// Drive timers: emit (re)transmissions, advance URIs, abandon attempts.
     pub fn poll(&mut self, now: SimTime, cfg: &OverlayConfig, out: &mut Vec<LinkCmd>) {
-        let mut failed: Vec<Address> = Vec::new();
-        let mut keys: Vec<Address> = self.attempts.keys().copied().collect();
-        // Deterministic iteration order regardless of hash state.
-        keys.sort();
-        for key in keys {
-            let a = self.attempts.get_mut(&key).expect("key just collected");
-            if let AttemptState::BackedOff { until } = a.state {
-                if now >= until {
-                    // Restart from the first URI.
-                    a.state = AttemptState::Active;
-                    a.uri_idx = 0;
-                    a.tries_on_uri = 0;
-                    a.cur_rto = SimDuration::ZERO;
-                    a.next_send = now;
-                } else {
-                    continue;
-                }
+        let mut failed = Vec::new();
+        // Address order keeps the emitted sequence independent of hash
+        // state and of deadline ties.
+        'attempts: for key in self.queue.take_due(now) {
+            let a = self
+                .attempts
+                .get_mut(&key)
+                .expect("indexed attempt exists (index invariant)");
+            if let AttemptState::BackedOff { .. } = a.state {
+                // The stand-down is over: restart from the first URI.
+                a.state = AttemptState::Active;
+                a.uri_idx = 0;
+                a.tries_on_uri = 0;
+                a.cur_rto = SimDuration::ZERO;
+                a.next_send = now;
             }
             while a.next_send <= now {
                 if a.tries_on_uri >= a.retries_override.unwrap_or(cfg.link_retries).max(1) {
@@ -218,8 +255,12 @@ impl LinkingManager {
                     a.tries_on_uri = 0;
                     a.cur_rto = SimDuration::ZERO;
                     if a.uri_idx >= a.uris.len() {
-                        failed.push(key);
-                        break;
+                        failed.push(LinkCmd::Failed {
+                            peer: a.peer,
+                            ctype: a.ctype,
+                        });
+                        self.attempts.remove(&key);
+                        continue 'attempts;
                     }
                 }
                 let uri = a.uris[a.uri_idx];
@@ -238,14 +279,10 @@ impl LinkingManager {
                 };
                 a.next_send = now + a.cur_rto;
             }
+            self.queue.insert(a.deadline(), key);
         }
-        for key in failed {
-            let a = self.attempts.remove(&key).expect("collected above");
-            out.push(LinkCmd::Failed {
-                peer: a.peer,
-                ctype: a.ctype,
-            });
-        }
+        out.extend(failed);
+        debug_assert_eq!(self.queue.len(), self.attempts.len());
     }
 
     /// A `LinkReply` arrived from `from` (at underlay address `via`).
@@ -256,7 +293,7 @@ impl LinkingManager {
         if a.attempt_id != attempt {
             return; // reply to an older incarnation
         }
-        let a = self.attempts.remove(&from).expect("checked above");
+        let a = self.remove(from).expect("checked above");
         out.push(LinkCmd::Established {
             peer: a.peer,
             ctype: a.ctype,
@@ -282,6 +319,7 @@ impl LinkingManager {
         if a.attempt_id != attempt {
             return;
         }
+        let was = a.deadline();
         a.restarts += 1;
         // base · 2^(restarts−1) · U(0.5, 1.5) — the jitter is what breaks
         // symmetric races.
@@ -289,21 +327,25 @@ impl LinkingManager {
             .race_backoff
             .mul_f64(f64::from(1u32 << (a.restarts - 1).min(6)));
         let jitter = rng.gen_range(0.5..1.5);
-        a.state = AttemptState::BackedOff {
-            until: now + exp.mul_f64(jitter),
-        };
+        let until = now + exp.mul_f64(jitter);
+        a.state = AttemptState::BackedOff { until };
+        self.queue.reschedule(from, was, until);
+        debug_assert_eq!(self.queue.len(), self.attempts.len());
     }
 
     /// A `LinkError(WrongNode)` arrived: the current URI reaches the wrong
     /// machine (overlapping private address space); skip it immediately.
     pub fn on_wrong_node(&mut self, now: SimTime, from_attempt: u64) {
         // WrongNode replies carry the *responder's* address, which is not
-        // the peer we indexed by — match on attempt id instead.
+        // the peer we indexed by — match on attempt id instead. (A lookup by
+        // secondary key on an error path, not a timer: the one place left
+        // that walks the attempts.)
         if let Some(a) = self
             .attempts
             .values_mut()
             .find(|a| a.attempt_id == from_attempt)
         {
+            let was = a.deadline();
             a.uri_idx += 1;
             a.tries_on_uri = 0;
             a.cur_rto = SimDuration::ZERO;
@@ -314,6 +356,10 @@ impl LinkingManager {
                 a.uri_idx = a.uris.len().saturating_sub(1);
                 a.tries_on_uri = u32::MAX;
             }
+            // A backed-off attempt keeps its stand-down deadline.
+            let (peer, deadline) = (a.peer, a.deadline());
+            self.queue.reschedule(peer, was, deadline);
+            debug_assert_eq!(self.queue.len(), self.attempts.len());
         }
     }
 }

@@ -616,13 +616,8 @@ impl BrunetNode {
             } => match reason {
                 LinkErrorReason::InRace => {
                     sink.count(Counter::LinkRaceBackoff);
-                    self.linking.on_race_error(
-                        now,
-                        from,
-                        attempt,
-                        &self.cfg.clone(),
-                        &mut self.rng,
-                    );
+                    self.linking
+                        .on_race_error(now, from, attempt, &self.cfg, &mut self.rng);
                 }
                 LinkErrorReason::WrongNode => {
                     self.linking.on_wrong_node(now, attempt);
@@ -1210,9 +1205,11 @@ impl BrunetNode {
     }
 
     fn drive_linking<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
+        if self.linking.next_deadline().is_none_or(|d| d > now) {
+            return;
+        }
         let mut cmds = Vec::new();
-        let cfg = self.cfg.clone();
-        self.linking.poll(now, &cfg, &mut cmds);
+        self.linking.poll(now, &self.cfg, &mut cmds);
         self.exec_link_cmds(now, cmds, sink);
     }
 
@@ -1273,9 +1270,11 @@ impl BrunetNode {
     }
 
     fn drive_pinger<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
+        if self.pinger.next_deadline().is_none_or(|d| d > now) {
+            return;
+        }
         let mut cmds = Vec::new();
-        let cfg = self.cfg.clone();
-        self.pinger.poll(now, &cfg, &mut cmds);
+        self.pinger.poll(now, &self.cfg, &mut cmds);
         for cmd in cmds {
             match cmd {
                 PingCmd::SendPing { peer, nonce } => {
@@ -1310,18 +1309,27 @@ impl BrunetNode {
     }
 
     fn drive_overlords<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
-        let cfg = self.cfg.clone();
+        let near_due = now >= self.near.next_deadline();
+        let far_due = now >= self.far.next_deadline();
+        if !near_due && !far_due {
+            return;
+        }
         let mut cmds = Vec::new();
-        self.near.poll(now, self.addr, &self.conns, &cfg, &mut cmds);
-        self.far.poll(
-            now,
-            self.addr,
-            &self.conns,
-            self.pending_far_count(),
-            &cfg,
-            &mut self.rng,
-            &mut cmds,
-        );
+        self.near
+            .poll(now, self.addr, &self.conns, &self.cfg, &mut cmds);
+        if far_due {
+            // The census walks every pending CTM; only a due poll reads it.
+            let pending = self.pending_far_count();
+            self.far.poll(
+                now,
+                self.addr,
+                &self.conns,
+                pending,
+                &self.cfg,
+                &mut self.rng,
+                &mut cmds,
+            );
+        }
         self.exec_overlord_cmds(now, cmds, sink);
     }
 
@@ -1409,9 +1417,8 @@ impl BrunetNode {
     fn housekeeping<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
         self.pending_ctm.retain(|_, p| p.expires > now);
         // Shortcut idle release.
-        let cfg = self.cfg.clone();
         let mut cmds = Vec::new();
-        self.shortcut.poll(now, &self.conns, &cfg, &mut cmds);
+        self.shortcut.poll(now, &self.conns, &self.cfg, &mut cmds);
         self.exec_overlord_cmds(now, cmds, sink);
         // Join retry: not yet routable and the retry timer elapsed.
         if !self.is_routable() && now >= self.next_join_attempt {

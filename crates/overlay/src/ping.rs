@@ -6,13 +6,33 @@
 //! retry budget is declared dead and discarded (§IV-B). The paper notes
 //! these pings are the per-connection overhead that bounds how many
 //! connections a node can afford — which is why shortcuts are capped.
+//!
+//! # Timer contract
+//!
+//! Every tracked peer has exactly one deadline — its next ping when idle,
+//! its next retransmission when a pong is outstanding — and the manager
+//! keeps all of them in an ordered index beside the per-peer state. So a
+//! tick costs what is due, not what is tracked (an introducer in a join
+//! storm holds hundreds of connections and has, typically, none due):
+//!
+//! * [`PingManager::next_deadline`] is the index minimum: exact, never an
+//!   early lower bound, because runtimes arm their wake-up from it.
+//! * [`PingManager::poll`] pops only entries with `deadline <= now` and
+//!   handles them in ascending [`Address`] order — the order nonces are
+//!   allocated in — with every [`PingCmd::Dead`] after every
+//!   [`PingCmd::SendPing`].
+//! * Invariant: the index holds `(deadline, peer)` for each tracked peer
+//!   and nothing else. Every method that moves a deadline moves the index
+//!   entry with it.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use wow_netsim::time::{SimDuration, SimTime};
 
 use crate::addr::Address;
 use crate::config::OverlayConfig;
+use crate::deadline::DeadlineIndex;
 
 /// Output of the ping manager.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -32,22 +52,30 @@ pub enum PingCmd {
 }
 
 #[derive(Clone, Debug)]
-enum PeerState {
-    /// Nothing outstanding; ping due at `due`.
-    Idle { due: SimTime },
-    /// Awaiting a pong; retransmit at `resend`.
+enum Probe {
+    /// Nothing outstanding; the deadline is the next ping.
+    Idle,
+    /// Awaiting a pong; the deadline is the next retransmission.
     Awaiting {
         nonce: u64,
-        resend: SimTime,
         rto: SimDuration,
         tries: u32,
     },
 }
 
+#[derive(Clone, Debug)]
+struct Peer {
+    /// When [`PingManager::poll`] next has work for this peer.
+    deadline: SimTime,
+    probe: Probe,
+}
+
 /// Keepalive state for all connections of one node.
 #[derive(Debug, Default)]
 pub struct PingManager {
-    peers: HashMap<Address, PeerState>,
+    peers: HashMap<Address, Peer>,
+    /// One entry per entry of `peers`, at that peer's deadline.
+    queue: DeadlineIndex,
     next_nonce: u64,
 }
 
@@ -59,14 +87,23 @@ impl PingManager {
 
     /// Start tracking a connection.
     pub fn track(&mut self, peer: Address, now: SimTime, cfg: &OverlayConfig) {
-        self.peers.entry(peer).or_insert(PeerState::Idle {
-            due: now + cfg.ping_interval,
-        });
+        if let Entry::Vacant(slot) = self.peers.entry(peer) {
+            let deadline = now + cfg.ping_interval;
+            slot.insert(Peer {
+                deadline,
+                probe: Probe::Idle,
+            });
+            self.queue.insert(deadline, peer);
+        }
+        debug_assert_eq!(self.queue.len(), self.peers.len());
     }
 
     /// Stop tracking (connection removed for any reason).
     pub fn untrack(&mut self, peer: Address) {
-        self.peers.remove(&peer);
+        if let Some(p) = self.peers.remove(&peer) {
+            self.queue.remove(p.deadline, peer);
+        }
+        debug_assert_eq!(self.queue.len(), self.peers.len());
     }
 
     /// Number of tracked peers.
@@ -81,11 +118,14 @@ impl PingManager {
 
     /// Any traffic from the peer proves liveness; push the next ping out.
     pub fn heard(&mut self, peer: Address, now: SimTime, cfg: &OverlayConfig) {
-        if let Some(state) = self.peers.get_mut(&peer) {
-            *state = PeerState::Idle {
-                due: now + cfg.ping_interval,
-            };
-        }
+        let Some(p) = self.peers.get_mut(&peer) else {
+            return;
+        };
+        p.probe = Probe::Idle;
+        let deadline = now + cfg.ping_interval;
+        let was = std::mem::replace(&mut p.deadline, deadline);
+        self.queue.reschedule(peer, was, deadline);
+        debug_assert_eq!(self.queue.len(), self.peers.len());
     }
 
     /// A pong arrived. Returns true if it matched an outstanding ping.
@@ -96,8 +136,11 @@ impl PingManager {
         now: SimTime,
         cfg: &OverlayConfig,
     ) -> bool {
-        match self.peers.get_mut(&peer) {
-            Some(PeerState::Awaiting { nonce: n, .. }) if *n == nonce => {
+        match self.peers.get(&peer) {
+            Some(Peer {
+                probe: Probe::Awaiting { nonce: n, .. },
+                ..
+            }) if *n == nonce => {
                 self.heard(peer, now, cfg);
                 true
             }
@@ -105,61 +148,61 @@ impl PingManager {
         }
     }
 
-    /// Earliest time at which [`PingManager::poll`] has work.
+    /// Earliest time at which [`PingManager::poll`] has work. Exact.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.peers
-            .values()
-            .map(|s| match s {
-                PeerState::Idle { due } => *due,
-                PeerState::Awaiting { resend, .. } => *resend,
-            })
-            .min()
+        self.queue.next()
+    }
+
+    /// Whether the deadline index mirrors the per-peer state exactly (the
+    /// module-level invariant). O(n log n); for tests.
+    pub fn index_agrees(&self) -> bool {
+        self.queue.len() == self.peers.len()
+            && self
+                .peers
+                .iter()
+                .all(|(&peer, p)| self.queue.contains(p.deadline, peer))
     }
 
     /// Drive timers.
     pub fn poll(&mut self, now: SimTime, cfg: &OverlayConfig, out: &mut Vec<PingCmd>) {
         let mut dead = Vec::new();
-        let mut keys: Vec<Address> = self.peers.keys().copied().collect();
-        keys.sort();
-        for peer in keys {
-            let state = self.peers.get_mut(&peer).expect("key just collected");
-            match state {
-                PeerState::Idle { due } if *due <= now => {
+        // Address order is the order nonces are allocated in.
+        for peer in self.queue.take_due(now) {
+            let p = self
+                .peers
+                .get_mut(&peer)
+                .expect("indexed peer is tracked (index invariant)");
+            match &mut p.probe {
+                Probe::Idle => {
                     let nonce = self.next_nonce;
                     self.next_nonce += 1;
-                    *state = PeerState::Awaiting {
+                    p.probe = Probe::Awaiting {
                         nonce,
-                        resend: now + cfg.ping_rto,
                         rto: cfg.ping_rto,
                         tries: 1,
                     };
+                    p.deadline = now + cfg.ping_rto;
                     out.push(PingCmd::SendPing { peer, nonce });
                 }
-                PeerState::Awaiting {
-                    nonce,
-                    resend,
-                    rto,
-                    tries,
-                } if *resend <= now => {
+                Probe::Awaiting { nonce, rto, tries } => {
                     if *tries >= cfg.ping_retries {
+                        self.peers.remove(&peer);
                         dead.push(peer);
-                    } else {
-                        *tries += 1;
-                        *rto = rto.saturating_double();
-                        *resend = now + *rto;
-                        out.push(PingCmd::SendPing {
-                            peer,
-                            nonce: *nonce,
-                        });
+                        continue;
                     }
+                    *tries += 1;
+                    *rto = rto.saturating_double();
+                    p.deadline = now + *rto;
+                    out.push(PingCmd::SendPing {
+                        peer,
+                        nonce: *nonce,
+                    });
                 }
-                _ => {}
             }
+            self.queue.insert(p.deadline, peer);
         }
-        for peer in dead {
-            self.peers.remove(&peer);
-            out.push(PingCmd::Dead { peer });
-        }
+        out.extend(dead.into_iter().map(|peer| PingCmd::Dead { peer }));
+        debug_assert_eq!(self.queue.len(), self.peers.len());
     }
 }
 

@@ -16,4 +16,11 @@ cargo fmt --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark of record is a workspace of its own that path-depends on
+# crates/ and is frozen between benchmark changes: a crates/ change that
+# breaks its build, its lints or its same-seed digests should fail here,
+# not in the benchmark pipeline.
+echo "==> benchmark/check.sh"
+./benchmark/check.sh
+
 echo "All checks passed."
