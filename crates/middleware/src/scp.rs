@@ -16,6 +16,8 @@ use wow_vnet::prelude::{SocketId, StackEvent, VirtIp};
 use crate::ttcp::TransferProgress;
 
 const WRITE_CHUNK: usize = 16 * 1024;
+/// The synthetic file's content: one shared chunk.
+static PATTERN: [u8; WRITE_CHUNK] = [0x5C; WRITE_CHUNK];
 const TAG_PACE: u64 = 21;
 const TAG_CONNECT: u64 = 22;
 const TAG_SAMPLE: u64 = 23;
@@ -28,6 +30,9 @@ pub struct FileServer {
     pub file_bytes: u64,
     /// Per-connection bytes already pushed.
     serving: Vec<(SocketId, u64)>,
+    /// A pace wake is outstanding: the server owns one safety timer for
+    /// all its blocked sockets (the wake re-pumps every one of them).
+    pace_armed: bool,
 }
 
 impl FileServer {
@@ -37,6 +42,7 @@ impl FileServer {
             port,
             file_bytes,
             serving: Vec::new(),
+            pace_armed: false,
         }
     }
 
@@ -47,11 +53,13 @@ impl FileServer {
         let now = w.now();
         while entry.1 < self.file_bytes {
             let want = (self.file_bytes - entry.1).min(WRITE_CHUNK as u64) as usize;
-            let chunk = vec![0x5Cu8; want];
-            let n = w.stack.tcp_write(now, sock, &chunk);
+            let n = w.stack.tcp_write(now, sock, &PATTERN[..want]);
             entry.1 += n as u64;
             if n < want {
-                w.wake_after(SimDuration::from_secs(2), TAG_PACE);
+                if !self.pace_armed {
+                    self.pace_armed = true;
+                    w.wake_after(SimDuration::from_secs(2), TAG_PACE);
+                }
                 return;
             }
         }
@@ -74,6 +82,7 @@ impl Workload for FileServer {
 
     fn on_wake(&mut self, w: &mut WsHandle<'_, '_, '_>, tag: u64) {
         if tag == TAG_PACE {
+            self.pace_armed = false;
             let socks: Vec<SocketId> = self.serving.iter().map(|(s, _)| *s).collect();
             for s in socks {
                 self.pump(w, s);

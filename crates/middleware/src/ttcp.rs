@@ -19,7 +19,11 @@ use wow_vnet::prelude::{SocketId, StackEvent, VirtIp};
 pub struct TransferProgress {
     /// When the transfer began (connection established).
     pub started: Option<SimTime>,
-    /// Cumulative bytes over time (sampled at every read).
+    /// Cumulative bytes over time (sampled at every read). Grows one entry
+    /// per read — 47 k entries (0.75 MB) per 60 sim-s of shortcut-path
+    /// ttcp — and nothing here trims it: a harness that streams for long
+    /// drains or truncates it between looks (`table2` and `fig6` read it
+    /// once, at the end of a bounded transfer).
     pub samples: Vec<(SimTime, u64)>,
     /// Total bytes moved so far.
     pub total: u64,
@@ -44,6 +48,8 @@ impl TransferProgress {
 
 /// How much a sender writes per attempt burst.
 const WRITE_CHUNK: usize = 16 * 1024;
+/// What a sender writes: one shared chunk of 'T's (for ttcp).
+static PATTERN: [u8; WRITE_CHUNK] = [0x54; WRITE_CHUNK];
 /// Safety-net pacing wake for senders.
 const TAG_PACE: u64 = 11;
 /// Deferred start.
@@ -64,6 +70,10 @@ pub struct TtcpSender {
     sock: Option<SocketId>,
     written: u64,
     closed: bool,
+    /// A pace wake is outstanding. A blocked writer owns one timer: every
+    /// ACK that frees space raises `TcpWritable`, so the wake is only a
+    /// safety net and a second one could never find room the first missed.
+    pace_armed: bool,
 }
 
 impl TtcpSender {
@@ -84,6 +94,7 @@ impl TtcpSender {
             sock: None,
             written: 0,
             closed: false,
+            pace_armed: false,
         }
     }
 
@@ -95,12 +106,14 @@ impl TtcpSender {
         let now = w.now();
         while self.written < self.bytes {
             let want = (self.bytes - self.written).min(WRITE_CHUNK as u64) as usize;
-            let chunk = vec![0x54u8; want]; // 'T' for ttcp
-            let n = w.stack.tcp_write(now, sock, &chunk);
+            let n = w.stack.tcp_write(now, sock, &PATTERN[..want]);
             self.written += n as u64;
             if n < want {
-                // Buffer full: resume on Writable (plus a safety wake).
-                w.wake_after(SimDuration::from_secs(1), TAG_PACE);
+                // Buffer full: resume on Writable (plus the safety wake).
+                if !self.pace_armed {
+                    self.pace_armed = true;
+                    w.wake_after(SimDuration::from_secs(1), TAG_PACE);
+                }
                 return;
             }
         }
@@ -123,7 +136,10 @@ impl Workload for TtcpSender {
                 let sock = w.stack.tcp_connect(now, self.target, self.port);
                 self.sock = Some(sock);
             }
-            TAG_PACE => self.pump_writes(w),
+            TAG_PACE => {
+                self.pace_armed = false;
+                self.pump_writes(w);
+            }
             _ => {}
         }
     }

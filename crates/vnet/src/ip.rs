@@ -162,6 +162,32 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
     !(sum as u16)
 }
 
+/// Append the checksummed 20-byte header of a packet that will carry
+/// `payload_len` bytes; the caller appends the payload to the same buffer.
+pub fn put_ipv4_header(
+    buf: &mut BytesMut,
+    src: VirtIp,
+    dst: VirtIp,
+    proto: IpProto,
+    ttl: u8,
+    ident: u16,
+    payload_len: usize,
+) {
+    let start = buf.len();
+    buf.put_u8(0x45); // version 4, IHL 5
+    buf.put_u8(0); // DSCP/ECN
+    buf.put_u16((IPV4_HEADER_LEN + payload_len) as u16);
+    buf.put_u16(ident);
+    buf.put_u16(0x4000); // flags: DF, no fragment offset
+    buf.put_u8(ttl);
+    buf.put_u8(proto.number());
+    buf.put_u16(0); // checksum placeholder
+    buf.put_slice(&src.0);
+    buf.put_slice(&dst.0);
+    let csum = internet_checksum(&buf[start..start + IPV4_HEADER_LEN]);
+    buf[start + 10..start + 12].copy_from_slice(&csum.to_be_bytes());
+}
+
 impl Ipv4Packet {
     /// Build a packet with default TTL.
     pub fn new(src: VirtIp, dst: VirtIp, proto: IpProto, payload: Bytes) -> Self {
@@ -177,20 +203,16 @@ impl Ipv4Packet {
 
     /// Encode to wire bytes (20-byte header + payload), checksummed.
     pub fn encode(&self) -> Bytes {
-        let total = IPV4_HEADER_LEN + self.payload.len();
-        let mut buf = BytesMut::with_capacity(total);
-        buf.put_u8(0x45); // version 4, IHL 5
-        buf.put_u8(0); // DSCP/ECN
-        buf.put_u16(total as u16);
-        buf.put_u16(self.ident);
-        buf.put_u16(0x4000); // flags: DF, no fragment offset
-        buf.put_u8(self.ttl);
-        buf.put_u8(self.proto.number());
-        buf.put_u16(0); // checksum placeholder
-        buf.put_slice(&self.src.0);
-        buf.put_slice(&self.dst.0);
-        let csum = internet_checksum(&buf[..IPV4_HEADER_LEN]);
-        buf[10..12].copy_from_slice(&csum.to_be_bytes());
+        let mut buf = BytesMut::with_capacity(IPV4_HEADER_LEN + self.payload.len());
+        put_ipv4_header(
+            &mut buf,
+            self.src,
+            self.dst,
+            self.proto,
+            self.ttl,
+            self.ident,
+            self.payload.len(),
+        );
         buf.put_slice(&self.payload);
         buf.freeze()
     }

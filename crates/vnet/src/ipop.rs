@@ -45,10 +45,21 @@ pub fn address_for(namespace: &str, ip: VirtIp) -> Address {
     Address::from_seed_bytes(&key)
 }
 
+/// Slots in a router's resolution memo: a direct-mapped table keyed by the
+/// low bits of the destination IP, so a /24's hosts spread evenly and a
+/// colliding destination simply overwrites. This is the memo's hard cap:
+/// 16 entries (about 400 bytes) per router, however many destinations it
+/// talks to.
+pub const MEMO_SLOTS: usize = 16;
+
 /// The IPOP router of one virtual workstation.
 #[derive(Debug)]
 pub struct IpopRouter {
     namespace: String,
+    /// Recently resolved destinations. Resolution is a pure function of
+    /// (namespace, IP), so an entry never goes stale; the memo only spares
+    /// a flow re-hashing the same destination for every packet.
+    memo: [Option<(VirtIp, Address)>; MEMO_SLOTS],
     /// Counters.
     pub stats: IpopStats,
 }
@@ -59,6 +70,7 @@ impl IpopRouter {
     pub fn new(namespace: impl Into<String>) -> Self {
         IpopRouter {
             namespace: namespace.into(),
+            memo: [None; MEMO_SLOTS],
             stats: IpopStats::default(),
         }
     }
@@ -73,6 +85,19 @@ impl IpopRouter {
         address_for(&self.namespace, ip)
     }
 
+    /// [`IpopRouter::overlay_address`] through the memo.
+    fn resolve(&mut self, ip: VirtIp) -> Address {
+        let slot = ip.to_u32() as usize % MEMO_SLOTS;
+        match self.memo[slot] {
+            Some((cached, addr)) if cached == ip => addr,
+            _ => {
+                let addr = self.overlay_address(ip);
+                self.memo[slot] = Some((ip, addr));
+                addr
+            }
+        }
+    }
+
     /// Move every packet the stack has queued into the overlay. Outbound
     /// frames, events and telemetry go through `sink`.
     pub fn pump_out<S: NodeSink + ?Sized>(
@@ -82,10 +107,10 @@ impl IpopRouter {
         node: &mut BrunetNode,
         sink: &mut S,
     ) {
-        for pkt in stack.take_packets() {
-            let dst = self.overlay_address(pkt.dst);
+        for (dst_ip, wire) in stack.drain_wire() {
+            let dst = self.resolve(dst_ip);
             self.stats.tunnelled_out += 1;
-            node.send_app(now, dst, PROTO_IPOP, pkt.encode(), sink);
+            node.send_app(now, dst, PROTO_IPOP, wire, sink);
         }
     }
 
@@ -154,6 +179,24 @@ mod tests {
             r.overlay_address(VirtIp::testbed(9)),
             address_for("wow", VirtIp::testbed(9))
         );
+    }
+
+    #[test]
+    fn memo_is_capped_and_never_changes_an_answer() {
+        let mut r = IpopRouter::new("wow");
+        assert_eq!(r.memo.len(), MEMO_SLOTS);
+        // Four destinations per slot, visited so that every lookup after
+        // the first round evicts a colliding entry, then a flow's repeats.
+        let hosts: Vec<VirtIp> = (0..4 * MEMO_SLOTS as u32)
+            .map(|i| VirtIp::new(172, 16, (i / 200) as u8, (i % 200) as u8))
+            .collect();
+        for _ in 0..3 {
+            for &ip in &hosts {
+                assert_eq!(r.resolve(ip), address_for("wow", ip));
+                assert_eq!(r.resolve(ip), address_for("wow", ip));
+            }
+        }
+        assert!(r.memo.iter().all(|slot| slot.is_some()));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! * [`ip`] — virtual IPv4 addresses and the packet codec (real checksums)
 //! * [`icmp`] — echo request/reply (the Fig. 4 probe traffic)
 //! * [`udp`] — datagram transport
+//! * [`buf`] — the byte queues under a TCP connection
 //! * [`tcp`] — a mini TCP: handshake, reassembly, windows, Reno-style
 //!   congestion control, adaptive RTO with long persistence
 //! * [`stack`] — the per-workstation socket layer
@@ -36,6 +37,7 @@
 
 #![warn(missing_docs)]
 
+pub mod buf;
 pub mod icmp;
 pub mod ip;
 pub mod ipop;

@@ -10,14 +10,14 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use wow_netsim::time::SimTime;
 
 use crate::icmp::IcmpMessage;
-use crate::ip::{IpProto, Ipv4Packet, VirtIp};
+use crate::ip::{put_ipv4_header, IpProto, Ipv4Packet, VirtIp, DEFAULT_TTL, IPV4_HEADER_LEN};
 #[allow(unused_imports)]
 use crate::tcp::MSS;
 use crate::tcp::{TcpConfig, TcpConn, TcpEvent, TcpSegment, TcpState};
@@ -124,7 +124,9 @@ pub struct NetStack {
     next_ephemeral: u16,
     next_ident: u16,
     rng: SmallRng,
-    out: Vec<Ipv4Packet>,
+    /// Outbound packets, wire-encoded as they are emitted, each with the
+    /// destination the tunnel resolves.
+    out: Vec<(VirtIp, Bytes)>,
     events: Vec<StackEvent>,
     /// Counters.
     pub stats: StackStats,
@@ -155,14 +157,31 @@ impl NetStack {
         self.ip
     }
 
-    /// Drain outbound IP packets (to be tunnelled).
+    /// Drain outbound IP packets, decoded (for code that shuttles packets
+    /// between stacks by hand; the tunnel takes [`NetStack::drain_wire`]).
     pub fn take_packets(&mut self) -> Vec<Ipv4Packet> {
-        std::mem::take(&mut self.out)
+        self.out
+            .drain(..)
+            .map(|(_, wire)| Ipv4Packet::decode(wire).expect("the stack's own encoding"))
+            .collect()
+    }
+
+    /// Drain outbound IP packets as (destination, wire bytes), ready to be
+    /// tunnelled. The queue keeps its allocation.
+    pub fn drain_wire(&mut self) -> std::vec::Drain<'_, (VirtIp, Bytes)> {
+        self.out.drain(..)
     }
 
     /// Drain application events.
     pub fn take_events(&mut self) -> Vec<StackEvent> {
         std::mem::take(&mut self.events)
+    }
+
+    /// Move pending application events onto the end of `into`; both
+    /// vectors keep their allocations (the per-packet form of
+    /// [`NetStack::take_events`]).
+    pub fn drain_events_into(&mut self, into: &mut Vec<StackEvent>) {
+        into.append(&mut self.events);
     }
 
     /// The earliest pending timer among all connections.
@@ -456,37 +475,44 @@ impl NetStack {
         let mut pkt = Ipv4Packet::new(self.ip, dst, proto, payload);
         pkt.ident = self.next_ident;
         self.next_ident = self.next_ident.wrapping_add(1);
-        self.out.push(pkt);
+        self.out.push((dst, pkt.encode()));
     }
 
     /// Move a connection's queued segments into IP output and translate its
-    /// events.
+    /// events. Each segment is encoded once, IP header and all, into the
+    /// buffer the tunnel will send.
     fn drain_conn(&mut self, sock: SocketId) {
         let Some(e) = self.conns.get_mut(&sock) else {
             return;
         };
         let (dst, _) = e.remote;
-        let segs = e.conn.take_output();
-        let evs = e.conn.take_events();
-        let mut packets = Vec::with_capacity(segs.len());
-        for seg in segs {
-            packets.push((dst, seg.encode()));
+        for seg in e.conn.drain_output() {
+            let mut buf = BytesMut::with_capacity(IPV4_HEADER_LEN + seg.wire_len());
+            put_ipv4_header(
+                &mut buf,
+                self.ip,
+                dst,
+                IpProto::Tcp,
+                DEFAULT_TTL,
+                self.next_ident,
+                seg.wire_len(),
+            );
+            self.next_ident = self.next_ident.wrapping_add(1);
+            seg.put(&mut buf);
+            self.out.push((dst, buf.freeze()));
         }
-        for (dst, bytes) in packets {
-            self.emit_ip(dst, IpProto::Tcp, bytes);
-        }
-        for ev in evs {
+        for ev in e.conn.drain_events() {
             let mapped = match ev {
                 TcpEvent::Connected => StackEvent::TcpConnected { sock },
                 TcpEvent::DataReadable => StackEvent::TcpReadable { sock },
                 TcpEvent::Writable => StackEvent::TcpWritable { sock },
                 TcpEvent::PeerClosed => StackEvent::TcpPeerClosed { sock },
                 TcpEvent::Closed => {
-                    self.conns.get_mut(&sock).expect("present").finished = true;
+                    e.finished = true;
                     StackEvent::TcpClosed { sock }
                 }
                 TcpEvent::Aborted => {
-                    self.conns.get_mut(&sock).expect("present").finished = true;
+                    e.finished = true;
                     StackEvent::TcpAborted { sock }
                 }
             };
@@ -616,6 +642,31 @@ mod tests {
             .take_events()
             .contains(&StackEvent::TcpAborted { sock: client }));
         assert_eq!(a.tcp_state(client), TcpState::Closed);
+    }
+
+    #[test]
+    fn wire_and_decoded_output_agree() {
+        // Same traffic out of two identical stacks: one drained as wire
+        // bytes (what the tunnel sends), one as decoded packets.
+        let (mut a, _) = pair();
+        let (mut b, peer) = pair();
+        for s in [&mut a, &mut b] {
+            s.ping(peer.ip(), 7, 1, Bytes::from_static(b"payload"));
+            s.udp_send(peer.ip(), 2049, 999, Bytes::from_static(b"rpc"));
+            s.tcp_connect(T0, peer.ip(), 80);
+        }
+        let wire: Vec<(VirtIp, Bytes)> = a.drain_wire().collect();
+        let decoded = b.take_packets();
+        assert_eq!(wire.len(), 3);
+        for ((dst, bytes), pkt) in wire.iter().zip(&decoded) {
+            assert_eq!(*dst, pkt.dst);
+            assert_eq!(*bytes, pkt.encode());
+        }
+        // The TCP SYN, encoded in one pass, is what the two-step encoding
+        // of the same segment gives.
+        let syn = TcpSegment::decode(decoded[2].payload.clone()).unwrap();
+        assert!(syn.flags.syn);
+        assert_eq!(decoded[2].payload, syn.encode());
     }
 
     #[test]

@@ -23,10 +23,13 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use wow_netsim::time::{SimDuration, SimTime};
 
+use crate::buf::{copy_range, RecvQueue};
 use crate::ip::IpError;
 
 /// Maximum segment size on the virtual network (fits the tunnel MTU).
 pub const MSS: usize = 1200;
+/// Encoded segment header: ports, seq, ack, flags, 32-bit window.
+const HEADER_LEN: usize = 17;
 
 /// TCP header flags.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -76,9 +79,21 @@ pub struct TcpSegment {
 }
 
 impl TcpSegment {
+    /// Encoded length: header plus payload.
+    pub fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
+    }
+
     /// Encode to wire bytes.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(18 + self.payload.len());
+        let mut buf = BytesMut::with_capacity(self.wire_len());
+        self.put(&mut buf);
+        buf.freeze()
+    }
+
+    /// Append the wire encoding to `buf` (the stack writes it straight
+    /// after the IP header, so a segment is copied once on its way out).
+    pub fn put(&self, buf: &mut BytesMut) {
         buf.put_u16(self.src_port);
         buf.put_u16(self.dst_port);
         buf.put_u32(self.seq);
@@ -86,12 +101,11 @@ impl TcpSegment {
         buf.put_u8(self.flags.bits());
         buf.put_u32(self.window);
         buf.put_slice(&self.payload);
-        buf.freeze()
     }
 
     /// Decode from wire bytes.
     pub fn decode(mut bytes: Bytes) -> Result<TcpSegment, IpError> {
-        if bytes.len() < 17 {
+        if bytes.len() < HEADER_LEN {
             return Err(IpError::Malformed);
         }
         let src_port = bytes.get_u16();
@@ -236,7 +250,7 @@ pub struct TcpConn {
     rtt_probe: Option<(u32, SimTime)>,
     // --- receive side ---
     rcv_nxt: u32,
-    recv_buf: VecDeque<u8>,
+    recv_buf: RecvQueue,
     ooo: BTreeMap<u32, Bytes>,
     peer_fin_seq: Option<u32>,
     fin_delivered: bool,
@@ -327,7 +341,7 @@ impl TcpConn {
             dup_acks: 0,
             rtt_probe: None,
             rcv_nxt: 0,
-            recv_buf: VecDeque::new(),
+            recv_buf: RecvQueue::new(),
             ooo: BTreeMap::new(),
             peer_fin_seq: None,
             fin_delivered: false,
@@ -359,6 +373,17 @@ impl TcpConn {
     /// Events since the last drain.
     pub fn take_events(&mut self) -> Vec<TcpEvent> {
         std::mem::take(&mut self.events)
+    }
+
+    /// [`TcpConn::take_output`] for the stack's per-packet path: the queue
+    /// keeps its allocation.
+    pub(crate) fn drain_output(&mut self) -> std::vec::Drain<'_, TcpSegment> {
+        self.out.drain(..)
+    }
+
+    /// [`TcpConn::take_events`], keeping the queue's allocation.
+    pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, TcpEvent> {
+        self.events.drain(..)
     }
 
     /// Bytes the application can still write without blocking.
@@ -395,14 +420,11 @@ impl TcpConn {
         n
     }
 
-    /// Read up to `max` in-order bytes.
+    /// Read up to `max` in-order bytes. When one received segment covers
+    /// the request this is that segment's payload itself, not a copy.
     pub fn read(&mut self, now: SimTime, max: usize) -> Bytes {
-        let n = max.min(self.recv_buf.len());
-        let mut buf = BytesMut::with_capacity(n);
         let before = self.advertised_window();
-        for _ in 0..n {
-            buf.put_u8(self.recv_buf.pop_front().expect("len checked"));
-        }
+        let data = self.recv_buf.pop(max);
         // If the window was pinched shut, tell the peer it re-opened.
         if before < (MSS as u32) && self.advertised_window() >= (MSS as u32) {
             let seg = self.make_segment(
@@ -416,7 +438,7 @@ impl TcpConn {
             self.out.push(seg);
         }
         let _ = now;
-        buf.freeze()
+        data
     }
 
     /// Application close: queue a FIN after any buffered data.
@@ -622,15 +644,7 @@ impl TcpConn {
             if n == 0 {
                 break;
             }
-            let start = self.inflight;
-            let chunk: Bytes = self
-                .send_buf
-                .iter()
-                .skip(start)
-                .take(n)
-                .copied()
-                .collect::<Vec<u8>>()
-                .into();
+            let chunk = copy_range(&self.send_buf, self.inflight, n);
             let seg = self.make_segment(
                 self.snd_nxt,
                 TcpFlags {
@@ -709,13 +723,7 @@ impl TcpConn {
         }
         if self.inflight > 0 {
             let n = self.inflight.min(MSS);
-            let chunk: Bytes = self
-                .send_buf
-                .iter()
-                .take(n)
-                .copied()
-                .collect::<Vec<u8>>()
-                .into();
+            let chunk = copy_range(&self.send_buf, 0, n);
             let seg = self.make_segment(
                 self.snd_una,
                 TcpFlags {
@@ -873,6 +881,27 @@ impl TcpConn {
         self.pump_send(now);
     }
 
+    /// Queue the part of `chunk` (first byte at sequence `seq`) at or past
+    /// `rcv_nxt`, as far as the receive capacity allows. False when the
+    /// buffer filled before the chunk ended.
+    fn append_in_order(&mut self, seq: u32, mut chunk: Bytes) -> bool {
+        let offset = self.rcv_nxt.wrapping_sub(seq) as usize;
+        if offset >= chunk.len() {
+            return true;
+        }
+        chunk.advance(offset);
+        let room = self.cfg.recv_capacity - self.recv_buf.len();
+        let take = chunk.len().min(room);
+        let whole = take == chunk.len();
+        if take > 0 {
+            self.recv_buf
+                .push(if whole { chunk } else { chunk.split_to(take) });
+            self.rcv_nxt = self.rcv_nxt.wrapping_add(take as u32);
+            self.events.push(TcpEvent::DataReadable);
+        }
+        whole
+    }
+
     fn ingest_payload(&mut self, seq: u32, payload: Bytes) {
         // Drop data beyond our buffer capacity (the advertised window
         // should prevent this; be safe against misbehaving peers).
@@ -881,17 +910,7 @@ impl TcpConn {
             self.ooo.entry(seq).or_insert(payload);
         } else {
             // Overlaps or extends the in-order point.
-            let offset = self.rcv_nxt.wrapping_sub(seq) as usize;
-            if offset < payload.len() {
-                let fresh = payload.slice(offset..);
-                let room = self.cfg.recv_capacity - self.recv_buf.len();
-                let take = fresh.len().min(room);
-                self.recv_buf.extend(&fresh[..take]);
-                self.rcv_nxt = self.rcv_nxt.wrapping_add(take as u32);
-                if take > 0 {
-                    self.events.push(TcpEvent::DataReadable);
-                }
-            }
+            self.append_in_order(seq, payload);
         }
         // Drain any out-of-order chunks that are now in order.
         #[allow(clippy::while_let_loop)]
@@ -912,19 +931,8 @@ impl TcpConn {
                 });
             let Some(s) = candidate else { break };
             let chunk = self.ooo.remove(&s).expect("present");
-            let offset = self.rcv_nxt.wrapping_sub(s) as usize;
-            if offset < chunk.len() {
-                let fresh = chunk.slice(offset..);
-                let room = self.cfg.recv_capacity - self.recv_buf.len();
-                let take = fresh.len().min(room);
-                self.recv_buf.extend(&fresh[..take]);
-                self.rcv_nxt = self.rcv_nxt.wrapping_add(take as u32);
-                if take > 0 {
-                    self.events.push(TcpEvent::DataReadable);
-                }
-                if take < fresh.len() {
-                    break; // buffer full
-                }
+            if !self.append_in_order(s, chunk) {
+                break; // buffer full
             }
         }
     }

@@ -81,6 +81,8 @@ pub struct WsApp<W: Workload> {
     /// Wake tags deferred while suspended, replayed on resume.
     deferred_wakes: Vec<u64>,
     armed_stack_tick: Option<SimTime>,
+    /// The pump's event batch, kept between pumps for its allocation.
+    events: Vec<StackEvent>,
 }
 
 /// Stack-tick wake tag (workload tags are odd; see [`WsHandle::wake_after`]).
@@ -102,6 +104,7 @@ impl<W: Workload> WsApp<W> {
             suspended: false,
             deferred_wakes: Vec::new(),
             armed_stack_tick: None,
+            events: Vec::new(),
         }
     }
 
@@ -192,11 +195,11 @@ impl<W: Workload> WsApp<W> {
             let now = h.now();
             let (stack, ipop) = (&mut self.stack, &mut self.ipop);
             h.with_node(|node, sink| ipop.pump_out(now, stack, node, sink));
-            let events = self.stack.take_events();
-            if events.is_empty() {
+            self.stack.drain_events_into(&mut self.events);
+            if self.events.is_empty() {
                 break;
             }
-            for ev in events {
+            for ev in self.events.drain(..) {
                 let mut w = WsHandle {
                     stack: &mut self.stack,
                     h,

@@ -1,18 +1,18 @@
 //! End-to-end transfer middleware on the mini cluster: ttcp, SCP
 //! server/client, and NFS bulk reads through a PBS worker's client.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use wow::workstation::{IdleWorkload, Workload, WsHandle};
+use wow::workstation::{control, IdleWorkload, Workload, WsHandle};
 use wow_middleware::scp::{FileClient, FileServer};
 use wow_middleware::ttcp::{TransferProgress, TtcpReceiver, TtcpSender};
 use wow_netsim::prelude::*;
 use wow_overlay::config::OverlayConfig;
-use wow_tests::mini_cluster;
+use wow_tests::{mini_cluster, MiniCluster, Ws};
 use wow_vnet::ip::VirtIp;
 use wow_vnet::stack::StackEvent;
 
-#[allow(dead_code)] // Idle keeps the enum usable for ad-hoc experiments
 enum Xfer {
     Idle(IdleWorkload),
     Send(TtcpSender),
@@ -51,6 +51,106 @@ impl Workload for Xfer {
     }
 }
 
+/// Counts the workload wakes its inner workload receives.
+struct CountWakes {
+    inner: Xfer,
+    wakes: Arc<AtomicU64>,
+}
+
+impl Workload for CountWakes {
+    fn on_boot(&mut self, w: &mut WsHandle<'_, '_, '_>) {
+        self.inner.on_boot(w);
+    }
+    fn on_event(&mut self, w: &mut WsHandle<'_, '_, '_>, ev: StackEvent) {
+        self.inner.on_event(w, ev);
+    }
+    fn on_wake(&mut self, w: &mut WsHandle<'_, '_, '_>, tag: u64) {
+        self.wakes.fetch_add(1, Ordering::Relaxed);
+        self.inner.on_wake(w, tag);
+    }
+}
+
+/// IP packets the cluster's workstations took out of the tunnel.
+fn tunnelled_in(mc: &mut MiniCluster) -> u64 {
+    let mut total = 0;
+    for &actor in &mc.stations {
+        total += mc
+            .sim
+            .with_actor::<Ws<Xfer>, _>(actor, |ws, _| ws.app().ipop_stats().tunnelled_in);
+    }
+    total
+}
+
+/// Run a receiver/sender pair on a two-router cluster until `until` and
+/// return (events beyond what the idle cluster processes over the same
+/// span, IP packets the workstations took out of the tunnel).
+fn transfer_cost(seed: u64, at2: Xfer, at3: Xfer, until: SimTime) -> (u64, u64) {
+    let idle = {
+        let specs = vec![
+            (2u8, 1.0, Xfer::Idle(IdleWorkload)),
+            (3u8, 1.0, Xfer::Idle(IdleWorkload)),
+        ];
+        let mut mc = mini_cluster(seed, 2, OverlayConfig::default(), specs);
+        mc.sim.run_until(until);
+        mc.sim.events_processed()
+    };
+    let mut mc = mini_cluster(
+        seed,
+        2,
+        OverlayConfig::default(),
+        vec![(2u8, 1.0, at2), (3u8, 1.0, at3)],
+    );
+    mc.sim.run_until(until);
+    (mc.sim.events_processed() - idle, tunnelled_in(&mut mc))
+}
+
+#[test]
+fn bulk_transfer_events_track_packets_moved() {
+    // A transfer costs what it moves: the events it adds are a small
+    // multiple of the IP packets tunnelled (send, forward, deliver, and the
+    // ACK coming back), however often the sender found its buffer full. A
+    // sender that arms a fresh pace wake per blocked write fails this: its
+    // wakes grow with the square of the transfer's length (measured here:
+    // 3.0 per packet for both; 5.4 and 4.3 with a wake per blocked write).
+    const EVENTS_PER_PACKET_MAX: f64 = 3.5;
+    let bytes = 20_000_000u64;
+    let until = SimTime::from_secs(240);
+    let progress = Arc::new(Mutex::new(TransferProgress::default()));
+    let ttcp = transfer_cost(
+        45,
+        Xfer::Recv(TtcpReceiver::new(5001, progress.clone())),
+        Xfer::Send(TtcpSender::new(
+            VirtIp::testbed(2),
+            5001,
+            bytes,
+            SimDuration::from_secs(30),
+            Arc::new(Mutex::new(TransferProgress::default())),
+        )),
+        until,
+    );
+    assert_eq!(progress.lock().unwrap().total, bytes);
+    let progress = Arc::new(Mutex::new(TransferProgress::default()));
+    let scp = transfer_cost(
+        46,
+        Xfer::Serve(FileServer::new(22, bytes)),
+        Xfer::Fetch(FileClient::new(
+            VirtIp::testbed(2),
+            22,
+            SimDuration::from_secs(30),
+            progress.clone(),
+        )),
+        until,
+    );
+    assert_eq!(progress.lock().unwrap().total, bytes);
+    for (what, (events, packets)) in [("ttcp", ttcp), ("scp", scp)] {
+        let per_packet = events as f64 / packets as f64;
+        assert!(
+            per_packet <= EVENTS_PER_PACKET_MAX,
+            "{what}: {events} events for {packets} tunnelled packets = {per_packet:.1} per packet"
+        );
+    }
+}
+
 #[test]
 fn ttcp_moves_exactly_the_requested_bytes() {
     let bytes = 3_000_000u64;
@@ -85,6 +185,55 @@ fn ttcp_moves_exactly_the_requested_bytes() {
     // Throughput is sane for a 2-hop-at-most overlay path.
     let kbs = p.throughput_kbs().expect("complete");
     assert!(kbs > 100.0, "unreasonably slow: {kbs} KB/s");
+}
+
+#[test]
+fn blocked_sender_owns_one_pace_timer() {
+    // Stream for 10 s, then suspend the receiver: no ACKs, so no
+    // `TcpWritable`, and the sender sits on a full buffer. It must wake
+    // about once a second — not once a second per write that ever blocked.
+    let wakes = Arc::new(AtomicU64::new(0));
+    let sender = Xfer::Send(TtcpSender::new(
+        VirtIp::testbed(2),
+        5001,
+        u64::MAX / 2,
+        SimDuration::from_secs(30),
+        Arc::new(Mutex::new(TransferProgress::default())),
+    ));
+    let progress = Arc::new(Mutex::new(TransferProgress::default()));
+    let specs = vec![
+        (
+            2u8,
+            1.0,
+            CountWakes {
+                inner: Xfer::Recv(TtcpReceiver::new(5001, progress.clone())),
+                wakes: Arc::new(AtomicU64::new(0)),
+            },
+        ),
+        (
+            3u8,
+            1.0,
+            CountWakes {
+                inner: sender,
+                wakes: wakes.clone(),
+            },
+        ),
+    ];
+    let mut mc = mini_cluster(44, 2, OverlayConfig::default(), specs);
+    mc.sim.run_until(SimTime::from_secs(45));
+    assert!(
+        progress.lock().unwrap().total > 1_000_000,
+        "must be streaming"
+    );
+    control::suspend::<CountWakes>(&mut mc.sim, mc.stations[0]);
+    mc.sim.run_until(SimTime::from_secs(50)); // in-flight ACKs drain
+    let before = wakes.load(Ordering::Relaxed);
+    mc.sim.run_until(SimTime::from_secs(80));
+    let in_window = wakes.load(Ordering::Relaxed) - before;
+    assert!(
+        (29..=31).contains(&in_window),
+        "a sender blocked for 30 s woke {in_window} times"
+    );
 }
 
 #[test]
