@@ -8,7 +8,7 @@
 //!   the per-frame `send_to` loop it replaced, at burst sizes bracketing
 //!   what one event cycle actually emits;
 //! * driver level — a full `with_sink` event cycle emitting a burst over a
-//!   real socket, batching on vs off, measuring the seam end to end.
+//!   real socket, measuring the seam end to end.
 //!
 //! Frames are 1200 bytes (the IPOP tunnel MTU regime) aimed at bound
 //! loopback sockets that are never read: the kernel does the complete
@@ -103,27 +103,21 @@ fn bench_driver_cycle(c: &mut Criterion) {
     let socket = UdpSocket::bind("127.0.0.1:0").expect("bind bench socket");
     let (_bh, dsts) = blackholes(1);
     let payload = Bytes::from(vec![0u8; 1200]);
-    for (name, batching) in [
-        ("driver_cycle_batched_16x1200B", true),
-        ("driver_cycle_unbatched_16x1200B", false),
-    ] {
-        let mut driver = NodeDriver::new(BrunetNode::new(
-            Address([0x18; 20]),
-            OverlayConfig::default(),
-            1,
-        ));
-        driver.set_batching(batching);
-        let mut transport = SocketTransport::new(&socket);
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                driver.with_sink(&mut transport, |_node, sink| {
-                    for _ in 0..16 {
-                        sink.send(dsts[0], payload.clone());
-                    }
-                })
+    let mut driver = NodeDriver::new(BrunetNode::new(
+        Address([0x18; 20]),
+        OverlayConfig::default(),
+        1,
+    ));
+    let mut transport = SocketTransport::new(&socket);
+    c.bench_function("driver_cycle_batched_16x1200B", |b| {
+        b.iter(|| {
+            driver.with_sink(&mut transport, |_node, sink| {
+                for _ in 0..16 {
+                    sink.send(dsts[0], payload.clone());
+                }
             })
-        });
-    }
+        })
+    });
 }
 
 criterion_group! {

@@ -6,9 +6,9 @@
 //! * wire level — peek + patch-hops against the decode → re-encode
 //!   reference on a 1200-byte frame (the fast path's raison d'être);
 //! * node level — a full `on_datagram` transit forward through a router
-//!   node with the fast path on vs forced off;
-//! * `next_hop` n-sweep — the ordered ring index against the linear scan
-//!   at table sizes bracketing the paper's 151-node testbed.
+//!   node;
+//! * `next_hop` n-sweep — the ordered ring index at table sizes bracketing
+//!   the paper's 151-node testbed.
 //!
 //! This target is also the CI smoke: `cargo bench -p wow-bench --bench
 //! transit` runs in seconds and prints every number EXPERIMENTS.md quotes.
@@ -108,12 +108,8 @@ impl NodeSink for BenchSink {
 
 /// A started router node with two structured neighbours, built through the
 /// real passive-accept path.
-fn router_node(fast: bool) -> BrunetNode {
-    let cfg = OverlayConfig {
-        transit_fast_path: fast,
-        ..OverlayConfig::default()
-    };
-    let mut node = BrunetNode::new(Address([0x18; 20]), cfg, 1);
+fn router_node() -> BrunetNode {
+    let mut node = BrunetNode::new(Address([0x18; 20]), OverlayConfig::default(), 1);
     let mut sink = BenchSink {
         counters: TelemetryCounters::new(),
     };
@@ -135,37 +131,28 @@ fn bench_node_transit(c: &mut Criterion) {
     // Destination just past the 0x20.. neighbour: every datagram is a
     // single transit forward to that peer.
     let frame = app_frame(Address([0x21; 20]), 3);
-    for (name, fast) in [
-        ("node_transit_forward_fast", true),
-        ("node_transit_forward_slow", false),
-    ] {
-        let mut node = router_node(fast);
-        let mut sink = BenchSink {
-            counters: TelemetryCounters::new(),
-        };
-        c.bench_function(name, |b| {
-            b.iter_batched(
-                || Bytes::copy_from_slice(&frame),
-                |buf| node.on_datagram(T0, phys(9), buf, &mut sink),
-                BatchSize::SmallInput,
-            )
-        });
-        let expect = if fast {
-            Counter::TransitFastPath
-        } else {
-            Counter::TransitSlowPath
-        };
-        assert!(
-            sink.counters.get(expect) > 0 && sink.counters.get(Counter::Forwarded) > 0,
-            "{name} must actually forward on the intended path"
-        );
-    }
+    let mut node = router_node();
+    let mut sink = BenchSink {
+        counters: TelemetryCounters::new(),
+    };
+    c.bench_function("node_transit_forward_fast", |b| {
+        b.iter_batched(
+            || Bytes::copy_from_slice(&frame),
+            |buf| node.on_datagram(T0, phys(9), buf, &mut sink),
+            BatchSize::SmallInput,
+        )
+    });
+    assert!(
+        sink.counters.get(Counter::TransitFastPath) > 0
+            && sink.counters.get(Counter::Forwarded) > 0,
+        "the bench must actually forward on the decode-free path"
+    );
 }
 
 fn bench_next_hop_sweep(c: &mut Criterion) {
     let mut rng = SmallRng::seed_from_u64(7);
     // 151 is the paper's testbed size; the rest brackets it to expose the
-    // index's O(log n) against the scan's O(n).
+    // index's O(log n).
     for n in [16usize, 64, 151, 512, 2048] {
         let me = Address::random(&mut rng);
         let mut table = ConnTable::new();
@@ -185,9 +172,6 @@ fn bench_next_hop_sweep(c: &mut Criterion) {
         let exclude = [Address::random(&mut rng), Address::random(&mut rng)];
         c.bench_function(&format!("next_hop_index_n{n}"), |b| {
             b.iter(|| black_box(table.next_hop(black_box(me), black_box(dst), &exclude)))
-        });
-        c.bench_function(&format!("next_hop_scan_n{n}"), |b| {
-            b.iter(|| black_box(table.next_hop_scan(black_box(me), black_box(dst), &exclude)))
         });
     }
 }

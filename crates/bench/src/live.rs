@@ -15,8 +15,8 @@
 //!   throughput across random pairs, normalized by reactor threads.
 //!
 //! At `--n 1000` this is a thousand sockets and drivers on a couple of
-//! event-loop threads — the density the thread-per-node runtime cannot
-//! reach (a thousand OS threads polling every 20 ms), which is the point.
+//! event-loop threads — a density a thread per node cannot reach (a
+//! thousand OS threads polling every 20 ms), which is the point.
 
 use std::time::{Duration, Instant};
 

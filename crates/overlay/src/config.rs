@@ -45,7 +45,7 @@ pub struct OverlayConfig {
     /// Retries per introducer before a multi-introducer joiner falls
     /// through the cache to the next candidate. Only applies when more
     /// than one introducer is cached; a single introducer keeps the full
-    /// `link_retries` budget (the legacy schedule).
+    /// `link_retries` budget.
     pub introducer_retries: u32,
     /// Base demotion backoff after a failed introducer; doubles per
     /// consecutive failure (capped at ×32). Demoted introducers are
@@ -53,12 +53,6 @@ pub struct OverlayConfig {
     pub introducer_backoff: SimDuration,
     /// Upper bound on cached introducers (configured + learned).
     pub max_introducers: usize,
-    /// Force the pre-cache single-funnel bootstrap path: one wildcard
-    /// attempt walking the configured URI list with the standard per-URI
-    /// budget, no introducer learning. Differential tests use this to pin
-    /// the multi-introducer code to the legacy transcript when exactly
-    /// one introducer is configured.
-    pub legacy_bootstrap: bool,
     /// Shortcut score added per observed packet (the paper's `a_i` weight).
     pub shortcut_arrival_weight: f64,
     /// Shortcut score drained per second (the paper's service rate `c`).
@@ -70,12 +64,6 @@ pub struct OverlayConfig {
     /// Upper bound on simultaneous shortcut connections (the paper notes
     /// connection maintenance overhead bounds this in practice).
     pub max_shortcuts: usize,
-    /// Forward transit application frames without a full decode (peek the
-    /// routed header, patch the hop count in the received buffer, send it
-    /// on). Behaviour is byte-identical either way; disabling this forces
-    /// the decode → re-encode path, which differential tests use to prove
-    /// that identity.
-    pub transit_fast_path: bool,
 }
 
 impl Default for OverlayConfig {
@@ -98,13 +86,11 @@ impl Default for OverlayConfig {
             introducer_retries: 2,
             introducer_backoff: SimDuration::from_secs(30),
             max_introducers: 16,
-            legacy_bootstrap: false,
             shortcut_arrival_weight: 1.0,
             shortcut_service_rate: 1.5,
             shortcut_threshold: 10.0,
             shortcut_idle_timeout: SimDuration::from_secs(120),
             max_shortcuts: 16,
-            transit_fast_path: true,
         }
     }
 }
@@ -124,8 +110,8 @@ impl OverlayConfig {
 
     /// Time a multi-introducer joiner spends on one introducer before
     /// falling through the cache: `Σ link_rto · 2^i for i in
-    /// 0..introducer_retries` (15 s with defaults, vs the 155 s legacy
-    /// schedule — fallback is the point of carrying several introducers).
+    /// 0..introducer_retries` (15 s with defaults, vs the 155 s a single
+    /// introducer gets — fallback is the point of carrying several).
     pub fn introducer_abandon_time(&self) -> SimDuration {
         let mut total = SimDuration::ZERO;
         let mut rto = self.link_rto;

@@ -170,15 +170,6 @@ impl ConnTable {
         }
     }
 
-    /// The pre-index linear scan, kept as the reference implementation for
-    /// differential tests of [`ConnTable::peer_by_remote`].
-    pub fn peer_by_remote_scan(&self, remote: PhysAddr) -> Option<Address> {
-        self.conns
-            .iter()
-            .find(|c| c.remote == remote)
-            .map(|c| c.peer)
-    }
-
     fn remote_index_insert(&mut self, remote: PhysAddr, peer: Address) {
         if let Err(i) = self.by_remote.binary_search(&(remote, peer)) {
             self.by_remote.insert(i, (remote, peer));
@@ -405,78 +396,6 @@ impl ConnTable {
         }
     }
 
-    /// The pre-index linear scan, kept as the reference implementation:
-    /// differential tests assert [`ConnTable::next_hop`] agrees with it on
-    /// arbitrary tables, and the criterion benches measure the index
-    /// against it. Excludes are merge-walked against the address-sorted
-    /// table, so the scan itself is O(conns + excludes), not O(conns ×
-    /// excludes).
-    pub fn next_hop_scan(&self, me: Address, dst: Address, exclude: &[Address]) -> NextHop<'_> {
-        if dst == me {
-            return NextHop::Local;
-        }
-        // Sort the (tiny) exclude list once so the ascending-address walk
-        // over `conns` can advance a cursor instead of re-scanning it.
-        let mut inline = [Address::ZERO; 4];
-        let mut heap = Vec::new();
-        let sorted_ex: &[Address] = if exclude.len() <= inline.len() {
-            let s = &mut inline[..exclude.len()];
-            s.copy_from_slice(exclude);
-            s.sort_unstable();
-            s
-        } else {
-            heap.extend_from_slice(exclude);
-            heap.sort_unstable();
-            &heap
-        };
-        let mut ex_cursor = 0usize;
-        let mut excluded_ascending = move |p: Address| {
-            while ex_cursor < sorted_ex.len() && sorted_ex[ex_cursor] < p {
-                ex_cursor += 1;
-            }
-            ex_cursor < sorted_ex.len() && sorted_ex[ex_cursor] == p
-        };
-        let mut best: Option<&Connection> = None;
-        let mut best_dist = me.ring_dist(dst);
-        for c in &self.conns {
-            if excluded_ascending(c.peer) {
-                continue;
-            }
-            let eligible = c.types.is_structured() || c.peer == dst;
-            if !eligible {
-                continue;
-            }
-            let d = c.peer.ring_dist(dst);
-            if d < best_dist {
-                best_dist = d;
-                best = Some(c);
-            }
-        }
-        match best {
-            Some(c) => NextHop::Relay(c),
-            None => {
-                // Gateway rule, with a fresh cursor for the second walk.
-                let mut ex_cursor = 0usize;
-                let mut excluded_ascending = |p: Address| {
-                    while ex_cursor < sorted_ex.len() && sorted_ex[ex_cursor] < p {
-                        ex_cursor += 1;
-                    }
-                    ex_cursor < sorted_ex.len() && sorted_ex[ex_cursor] == p
-                };
-                if !self.conns.iter().any(|c| c.types.is_structured()) {
-                    if let Some(leaf) = self
-                        .conns
-                        .iter()
-                        .find(|c| c.types.contains(ConnType::Leaf) && !excluded_ascending(c.peer))
-                    {
-                        return NextHop::Relay(leaf);
-                    }
-                }
-                NextHop::Local
-            }
-        }
-    }
-
     /// Ring distance from `me` to the nearest structured peer, if any —
     /// used to scale far-target sampling.
     pub fn nearest_structured_dist(&self, me: Address) -> Option<U160> {
@@ -683,6 +602,41 @@ mod tests {
         }
     }
 
+    /// Oracle: the linear scan [`ConnTable::peer_by_remote`] replaced.
+    fn peer_by_remote_scan(t: &ConnTable, remote: PhysAddr) -> Option<Address> {
+        t.conns.iter().find(|c| c.remote == remote).map(|c| c.peer)
+    }
+
+    /// Oracle: the linear scan [`ConnTable::next_hop`] replaced — walk the
+    /// address-sorted table, first strictly closer eligible peer wins.
+    fn next_hop_scan<'a>(
+        t: &'a ConnTable,
+        me: Address,
+        dst: Address,
+        exclude: &[Address],
+    ) -> NextHop<'a> {
+        if dst == me {
+            return NextHop::Local;
+        }
+        let mut best: Option<&Connection> = None;
+        let mut best_dist = me.ring_dist(dst);
+        for c in t.conns.iter().filter(|c| !exclude.contains(&c.peer)) {
+            let d = c.peer.ring_dist(dst);
+            if (c.types.is_structured() || c.peer == dst) && d < best_dist {
+                best_dist = d;
+                best = Some(c);
+            }
+        }
+        // Gateway rule: no structured connection at all, so any leaf will do.
+        let gateway = || {
+            let joiner = !t.conns.iter().any(|c| c.types.is_structured());
+            t.conns
+                .iter()
+                .find(|c| joiner && c.types.contains(ConnType::Leaf) && !exclude.contains(&c.peer))
+        };
+        best.or_else(gateway).map_or(NextHop::Local, NextHop::Relay)
+    }
+
     /// The reverse (endpoint → peer) index must agree with the linear-scan
     /// reference on arbitrary tables churned by every mutation that can move
     /// an endpoint: upsert with a fresh remote, `update_remote` roaming,
@@ -730,7 +684,7 @@ mod tests {
                 let remote = ep(port);
                 assert_eq!(
                     t.peer_by_remote(remote),
-                    t.peer_by_remote_scan(remote),
+                    peer_by_remote_scan(&t, remote),
                     "index and scan disagree for {remote:?}"
                 );
             }
@@ -780,7 +734,7 @@ mod tests {
                     exclude.push(a(rng.gen_range(0..universe)));
                 }
                 let fast = t.next_hop(me, dst, &exclude);
-                let slow = t.next_hop_scan(me, dst, &exclude);
+                let slow = next_hop_scan(&t, me, dst, &exclude);
                 match (&fast, &slow) {
                     (NextHop::Local, NextHop::Local) => {}
                     (NextHop::Relay(f), NextHop::Relay(s)) => {

@@ -9,22 +9,18 @@
 //! runtime can dispatch them to its application layer *after* the node
 //! borrow ends, with reusable storage (amortized zero-alloc ping-pong).
 //!
-//! The driver also owns the timer bookkeeping both runtimes used to
-//! duplicate:
-//!
-//! * deadline-armed scheduling for the simulator ([`NodeDriver::arm_hint`] /
-//!   [`NodeDriver::timer_fired`]), and
-//! * due-gated polling for wall-clock loops ([`NodeDriver::tick_due`]).
-//!
-//! Both express the same contract — "call [`NodeDriver::on_tick`] once the
-//! node's next deadline has passed" — which is what makes the two runtimes
-//! byte-identical over one scripted trace (see the differential test in
-//! `crates/overlay/tests/driver_differential.rs`).
+//! The driver also owns the one timer contract both runtimes schedule
+//! from: after any node activity [`NodeDriver::arm_hint`] says whether a
+//! wake must be (re-)armed and for when; the wake calls
+//! [`NodeDriver::timer_fired`] and then [`NodeDriver::on_tick`]. The
+//! simulator arms simulated timers from it, the reactor a wall-clock
+//! deadline heap. `crates/overlay/tests/driver_differential.rs` pins it to
+//! a 1 ms `next_deadline() <= now` poll loop over one scripted trace.
 //!
 //! ## The flush boundary
 //!
 //! One input event can fan out into a burst of frames — a routed forward
-//! plus CTM replies plus linking traffic. By default the driver coalesces
+//! plus CTM replies plus linking traffic. The driver coalesces
 //! everything a node emits during **one event cycle** (one `start` /
 //! `restart` / `on_datagram` / `on_tick` / `send_app` / `with_sink` call)
 //! into a reusable [`FrameBatch`] and hands the whole burst to the
@@ -32,9 +28,9 @@
 //! order is preserved exactly — batching changes *when* the transport sees
 //! the frames (end of cycle instead of mid-cycle), never their order or
 //! bytes — so runtimes can amortize per-frame costs (syscalls on the UDP
-//! path, context borrows in the simulator) without observable effect.
-//! [`NodeDriver::set_batching`] forces the legacy per-frame path, which the
-//! batched-vs-unbatched differential test uses to prove that identity.
+//! path, context borrows in the simulator) without observable effect. The
+//! differential test holds the driver's transcript to a bare
+//! [`BrunetNode`] emitting frame-at-a-time into the test's own sink.
 
 use bytes::Bytes;
 
@@ -160,8 +156,8 @@ pub enum NodeEvent {
 
 /// The seam [`BrunetNode`] emits into: frames, events, telemetry.
 ///
-/// Implementations decide what "emitting" means — transmit now
-/// ([`DriverSink`]), or buffer for inspection (test sinks).
+/// Implementations decide what "emitting" means — buffer for the cycle's
+/// flush ([`DriverSink`]), or record for inspection (test sinks).
 pub trait NodeSink {
     /// Transmit this frame to an underlay endpoint (hot path).
     fn send(&mut self, to: PhysAddr, frame: Bytes);
@@ -180,28 +176,17 @@ pub trait NodeSink {
 }
 
 /// The sink a [`NodeDriver`] wires up per call: frames go into the cycle's
-/// [`FrameBatch`] (or straight to the transport when batching is off),
-/// events and counters into the driver's buffers.
-pub struct DriverSink<'a, T: Transport + ?Sized> {
-    transport: &'a mut T,
-    /// `Some` while batching: frames accumulate here until the cycle's
-    /// flush. `None` forces the legacy per-frame transmit.
-    batch: Option<&'a mut FrameBatch>,
+/// [`FrameBatch`], events and counters into the driver's buffers.
+pub struct DriverSink<'a> {
+    batch: &'a mut FrameBatch,
     events: &'a mut Vec<NodeEvent>,
     counters: &'a mut TelemetryCounters,
 }
 
-impl<T: Transport + ?Sized> NodeSink for DriverSink<'_, T> {
+impl NodeSink for DriverSink<'_> {
     #[inline]
     fn send(&mut self, to: PhysAddr, frame: Bytes) {
-        match self.batch.as_deref_mut() {
-            Some(batch) => batch.push(to, frame),
-            None => {
-                if !self.transport.transmit(to, frame) {
-                    self.counters.record(Counter::SendFailed);
-                }
-            }
-        }
+        self.batch.push(to, frame);
     }
 
     #[inline]
@@ -231,11 +216,10 @@ pub struct NodeDriver {
     counters: TelemetryCounters,
     armed: Option<SimTime>,
     batch: FrameBatch,
-    batching: bool,
 }
 
 impl NodeDriver {
-    /// Wrap a node. Batched emission is on by default.
+    /// Wrap a node.
     pub fn new(node: BrunetNode) -> Self {
         NodeDriver {
             node,
@@ -244,25 +228,7 @@ impl NodeDriver {
             counters: TelemetryCounters::new(),
             armed: None,
             batch: FrameBatch::new(),
-            batching: true,
         }
-    }
-
-    /// Enable or disable batched emission. Off forces the legacy
-    /// frame-at-a-time [`Transport::transmit`] path — behaviour is
-    /// byte-identical either way (the batched-vs-unbatched differential
-    /// test proves it); disabling exists for that proof and for debugging.
-    pub fn set_batching(&mut self, batching: bool) {
-        debug_assert!(
-            self.batch.is_empty(),
-            "toggling batching with frames pending"
-        );
-        self.batching = batching;
-    }
-
-    /// Whether batched emission is enabled.
-    pub fn batching(&self) -> bool {
-        self.batching
     }
 
     /// The driven node (read-only).
@@ -288,11 +254,10 @@ impl NodeDriver {
     fn cycle<T: Transport + ?Sized, R>(
         &mut self,
         transport: &mut T,
-        f: impl FnOnce(&mut BrunetNode, &mut DriverSink<'_, T>) -> R,
+        f: impl FnOnce(&mut BrunetNode, &mut DriverSink<'_>) -> R,
     ) -> R {
         let mut sink = DriverSink {
-            transport,
-            batch: self.batching.then_some(&mut self.batch),
+            batch: &mut self.batch,
             events: &mut self.events,
             counters: &mut self.counters,
         };
@@ -392,7 +357,7 @@ impl NodeDriver {
     pub fn with_sink<T: Transport + ?Sized, R>(
         &mut self,
         transport: &mut T,
-        f: impl FnOnce(&mut BrunetNode, &mut DriverSink<'_, T>) -> R,
+        f: impl FnOnce(&mut BrunetNode, &mut DriverSink<'_>) -> R,
     ) -> R {
         self.cycle(transport, f)
     }
@@ -426,15 +391,10 @@ impl NodeDriver {
         self.node.next_deadline()
     }
 
-    /// Wall-clock runtimes: should `on_tick(now)` be called this poll round?
-    pub fn tick_due(&self, now: SimTime) -> bool {
-        self.next_deadline().is_some_and(|d| d <= now)
-    }
-
-    /// Deadline-armed runtimes: after any node activity, returns
-    /// `Some(deadline)` when a (re-)arm is needed — the caller schedules a
-    /// timer wake at that instant. Returns `None` while the currently armed
-    /// wake still covers the earliest deadline.
+    /// After any node activity, returns `Some(deadline)` when a (re-)arm
+    /// is needed — the caller schedules a timer wake at that instant.
+    /// Returns `None` while the currently armed wake still covers the
+    /// earliest deadline.
     pub fn arm_hint(&mut self, now: SimTime) -> Option<SimTime> {
         let deadline = self.next_deadline()?;
         let need = match self.armed {
@@ -449,7 +409,7 @@ impl NodeDriver {
         }
     }
 
-    /// Deadline-armed runtimes: the scheduled timer wake fired.
+    /// The scheduled timer wake fired.
     pub fn timer_fired(&mut self) {
         self.armed = None;
     }

@@ -225,17 +225,17 @@ impl BrunetNode {
 
     /// Kick (or continue) the wildcard join through the introducer cache.
     ///
-    /// With a single cached introducer — or `legacy_bootstrap` set — this is
-    /// the original funnel: one wildcard attempt walking the whole URI list
-    /// on the standard `link_retries` budget (`tests/driver_differential.rs`
-    /// pins that transcript). With several introducers cached it funnels
+    /// With a single cached introducer this is the whole-list funnel: one
+    /// wildcard attempt walking the URI list on the standard `link_retries`
+    /// budget (`tests/driver_differential.rs` pins that transcript's
+    /// digest). With several introducers cached it funnels
     /// through one seeded-random candidate at a time on the short
     /// `introducer_retries` budget, falling through the cache on failure.
     fn try_bootstrap<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
         if self.bootstrap.is_empty() || self.linking.has_attempt(WILDCARD) {
             return;
         }
-        if self.cfg.legacy_bootstrap || self.bootstrap.len() == 1 {
+        if self.bootstrap.len() == 1 {
             self.current_introducer = self.bootstrap.uris().first().copied();
             self.linking
                 .start(now, WILDCARD, ConnType::Leaf, self.bootstrap.uris());
@@ -366,17 +366,14 @@ impl BrunetNode {
         // is forwarded from the received buffer — header peek, index
         // lookup, hop byte patched in place. Everything else (local
         // delivery, protocol traffic, malformed input, or a destination we
-        // are nearest to) falls through to the full decode below, which
-        // behaves exactly as before.
-        if self.cfg.transit_fast_path {
-            if let Ok(h) = RoutedHeader::peek(&data) {
-                if h.dst != self.addr {
-                    match self.transit_forward(src, &h, data, sink) {
-                        None => return,
-                        // Routing says we are the nearest node: take the
-                        // buffer back and decode for nearest-delivery.
-                        Some(d) => data = d,
-                    }
+        // are nearest to) falls through to the full decode below.
+        if let Ok(h) = RoutedHeader::peek(&data) {
+            if h.dst != self.addr {
+                match self.transit_forward(src, &h, data, sink) {
+                    None => return,
+                    // Routing says we are the nearest node: take the
+                    // buffer back and decode for nearest-delivery.
+                    Some(d) => data = d,
                 }
             }
         }
@@ -604,7 +601,7 @@ impl BrunetNode {
                 // CTM — routed via the introducer that just answered, not
                 // the stale leaf.
                 if let Some(peer) = wildcard_peer {
-                    if !self.cfg.legacy_bootstrap && self.leaf_peer != Some(peer) {
+                    if self.leaf_peer != Some(peer) {
                         self.send_join_ctm_via(now, peer, sink);
                     }
                 }
@@ -934,13 +931,11 @@ impl BrunetNode {
         let outcome = self.conns.upsert(peer, ctype, remote, now);
         if outcome.new_peer {
             self.pinger.track(peer, now, &self.cfg);
-            if !self.cfg.legacy_bootstrap {
-                // Any directly linked peer has proven it can introduce us:
-                // remember it, so the cache survives introducer loss (and a
-                // seed node with an empty configured list can still rejoin).
-                self.bootstrap
-                    .learn(TransportUri::udp(remote), self.cfg.max_introducers);
-            }
+            // Any directly linked peer has proven it can introduce us:
+            // remember it, so the cache survives introducer loss (and a
+            // seed node with an empty configured list can still rejoin).
+            self.bootstrap
+                .learn(TransportUri::udp(remote), self.cfg.max_introducers);
         }
         if outcome.new_role {
             if ctype == ConnType::StructuredNear {
@@ -1072,7 +1067,7 @@ impl BrunetNode {
         // the probe greedy-routes over whichever component answers, and its
         // terminal links back to us (the CTM carries our URIs), seeding the
         // merge. No reply relay: the responder dials us directly.
-        if self.probe_rounds % 4 == 0 && !self.cfg.legacy_bootstrap {
+        if self.probe_rounds % 4 == 0 {
             let own = self.advertised_uris();
             let entry = self
                 .bootstrap
@@ -1259,7 +1254,7 @@ impl BrunetNode {
                             self.bootstrap
                                 .record_failure(uri, now, self.cfg.introducer_backoff);
                         }
-                        if !self.cfg.legacy_bootstrap && self.bootstrap.len() > 1 {
+                        if self.bootstrap.len() > 1 {
                             sink.count(Counter::IntroducerFallback);
                             self.try_bootstrap(now, sink);
                         }
@@ -1390,13 +1385,8 @@ impl BrunetNode {
                 OverlordCmd::Rebootstrap => {
                     // Only honoured when the node really has fallen off the
                     // overlay: no connections of any kind and no join in
-                    // flight. Legacy mode keeps the old behaviour (isolated
-                    // nodes wait for their housekeeping join retry).
-                    if !self.cfg.legacy_bootstrap
-                        && !self.is_routable()
-                        && self.leaf_peer.is_none()
-                        && self.conns.is_empty()
-                    {
+                    // flight.
+                    if !self.is_routable() && self.leaf_peer.is_none() && self.conns.is_empty() {
                         self.try_bootstrap(now, sink);
                     }
                 }
@@ -1428,10 +1418,7 @@ impl BrunetNode {
             } else if self.conns.with_type(ConnType::Leaf).next().is_none() {
                 self.try_bootstrap(now, sink);
             }
-        } else if !self.cfg.legacy_bootstrap
-            && self.conns.len() == 1
-            && self.bootstrap.len() > 1
-            && now >= self.next_join_attempt
+        } else if self.conns.len() == 1 && self.bootstrap.len() > 1 && now >= self.next_join_attempt
         {
             // Marooned-pair escape. Two nodes that bootstrap through each
             // other while both are isolated form a private 2-ring: each is
@@ -2141,27 +2128,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_bootstrap_keeps_the_single_funnel() {
-        let cfg = OverlayConfig {
-            legacy_bootstrap: true,
-            ..OverlayConfig::default()
-        };
-        let mut n = BrunetNode::new(a(100), cfg, 7);
-        let mut sk = TestSink::new();
-        n.start(T0, uri(1, 4000), vec![uri(7, 4000), uri(8, 4000)], &mut sk);
-        // One attempt walking the full list in order, no cache counters.
-        assert_eq!(sk.take_sends()[0].0, ep(7, 4000));
-        n.on_tick(T0 + SimDuration::from_secs(5), &mut sk);
-        n.on_tick(T0 + SimDuration::from_secs(15), &mut sk);
-        assert_eq!(sk.counters.get(Counter::IntroducerTried), 0);
-        assert_eq!(sk.counters.get(Counter::IntroducerFallback), 0);
-        assert!(
-            sk.take_sends().iter().all(|(to, _)| *to == ep(7, 4000)),
-            "legacy mode stays on URI #1 through the full link_retries budget"
-        );
-    }
-
-    #[test]
     fn introducer_success_is_recorded() {
         let (mut n, mut sk) = started(a(100), vec![uri(7, 4000), uri(8, 4000)]);
         let tried = sk.take_sends()[0].0;
@@ -2253,40 +2219,6 @@ mod tests {
             sk.take_sends().iter().any(|(_, f)| matches!(f,
                 Frame::Link(LinkMsg::LinkRequest { target, .. }) if *target == WILDCARD)),
             "the probe starts a fresh wildcard attempt"
-        );
-    }
-
-    #[test]
-    fn legacy_marooned_pair_does_not_probe() {
-        let cfg = OverlayConfig {
-            legacy_bootstrap: true,
-            ..OverlayConfig::default()
-        };
-        let mut n = BrunetNode::new(a(100), cfg, 7);
-        let mut sk = TestSink::new();
-        n.start(T0, uri(1, 4000), vec![uri(7, 4000), uri(8, 4000)], &mut sk);
-        let tried = sk.take_sends()[0].0;
-        n.on_datagram(
-            T0 + SimDuration::from_millis(50),
-            tried,
-            Frame::Link(LinkMsg::LinkReply {
-                from: a(200),
-                attempt: 0,
-                observed: ep(77, 1234),
-            })
-            .encode(),
-            &mut sk,
-        );
-        n.record_conn(T0, a(200), ConnType::StructuredNear, tried, &mut sk);
-        assert!(n.is_routable());
-        sk.clear();
-        n.on_tick(T0 + SimDuration::from_secs(12), &mut sk);
-        assert!(
-            sk.take_sends()
-                .iter()
-                .all(|(_, f)| !matches!(f, Frame::Link(LinkMsg::LinkRequest { .. }))),
-            "legacy mode keeps the original behaviour: routable nodes never \
-             re-dial the bootstrap"
         );
     }
 

@@ -1,18 +1,20 @@
-//! Differential test for the unified driver's two timer disciplines.
+//! Differential tests for the unified driver.
 //!
-//! The same [`NodeDriver`] backs both runtimes: the simulator arms a wake
-//! at the exact next deadline ([`NodeDriver::arm_hint`] /
-//! [`NodeDriver::timer_fired`]), while the UDP runtime polls
-//! [`NodeDriver::tick_due`] every read-timeout. This test proves the two
-//! disciplines are behaviourally identical over one scripted trace: it
-//! records a two-node join-plus-traffic session, then replays node A's
-//! exact inputs through a fresh driver under each discipline and asserts
-//! byte-identical frame transcripts, identical event sequences, and
-//! identical telemetry counters.
+//! [`NodeDriver`] has one timer contract ([`NodeDriver::arm_hint`] /
+//! [`NodeDriver::timer_fired`]) and one emission path (one batch flush per
+//! event cycle). Each used to ship beside the path it replaced — a
+//! due-gated poll, a frame-at-a-time transmit, a forced decode → re-encode
+//! transit path, a single-introducer bootstrap funnel — and each twin is
+//! gone; what it proved is still checked here, against references this
+//! file owns: a 1 ms `next_deadline() <= t` poll loop, a bare
+//! [`BrunetNode`] emitting into the test's own sink, decode → `hops + 1` →
+//! encode computed per forwarded frame, and a digest of the funnel's
+//! transcript recorded before it was deleted.
 //!
-//! The trace is millisecond-aligned and race-free (a single joiner), so
-//! every node deadline lands on a poll boundary — the one precondition for
-//! the disciplines to coincide exactly.
+//! The join-plus-traffic trace is millisecond-aligned and race-free (a
+//! single joiner), so every node deadline lands on a poll boundary — the
+//! one precondition for the poll loop and the armed wakes to coincide
+//! exactly.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -24,7 +26,7 @@ use wow_netsim::time::{SimDuration, SimTime};
 use wow_overlay::addr::Address;
 use wow_overlay::config::OverlayConfig;
 use wow_overlay::conn::ConnType;
-use wow_overlay::driver::{NodeDriver, NodeEvent, Transport};
+use wow_overlay::driver::{NodeDriver, NodeEvent, NodeSink, Transport};
 use wow_overlay::node::BrunetNode;
 use wow_overlay::telemetry::{Counter, TelemetryCounters};
 use wow_overlay::uri::TransportUri;
@@ -52,69 +54,173 @@ fn step() -> SimDuration {
     SimDuration::from_millis(1)
 }
 
-fn fresh_a() -> NodeDriver {
-    NodeDriver::new(BrunetNode::new(a_addr(), OverlayConfig::default(), A_SEED))
+fn fresh_a(cfg: OverlayConfig) -> BrunetNode {
+    BrunetNode::new(a_addr(), cfg, A_SEED)
 }
 
-/// Everything node A did, in order.
-#[derive(Debug, Default, PartialEq, Eq)]
-struct Transcript {
-    frames: Vec<(PhysAddr, Bytes)>,
+/// Sub-second timers, so that inputs create deadlines *earlier* than the
+/// armed wake (a pong re-schedules the next ping inside the pending
+/// retransmit timeout) — with the defaults the 1 s housekeeping wake is
+/// always the earliest and `arm_hint`'s re-arm branch never runs.
+fn brisk() -> OverlayConfig {
+    OverlayConfig {
+        link_rto: SimDuration::from_millis(200),
+        stabilize_interval: SimDuration::from_millis(350),
+        ping_interval: SimDuration::from_millis(300),
+        ping_rto: SimDuration::from_millis(400),
+        ..OverlayConfig::default()
+    }
+}
+
+type Frames = Vec<(PhysAddr, Bytes)>;
+
+/// One input to a node.
+#[derive(Clone)]
+enum Input {
+    Start(TransportUri, Vec<TransportUri>),
+    Datagram(PhysAddr, Bytes),
+    AppSend(Address, u8, Bytes),
+    Tick,
+}
+
+/// The two shapes a node is driven in: the shipping [`NodeDriver`], and the
+/// [`Bare`] node that is its frame-at-a-time reference.
+trait Endpoint {
+    /// One event cycle; what the node transmits lands in `out`.
+    fn feed(&mut self, now: SimTime, input: Input, out: &mut Frames);
+    fn next_deadline(&self) -> Option<SimTime>;
+    fn drain_events(&mut self, into: &mut Vec<NodeEvent>);
+    fn counters(&self) -> TelemetryCounters;
+}
+
+impl Endpoint for NodeDriver {
+    fn feed(&mut self, now: SimTime, input: Input, out: &mut Frames) {
+        let t = &mut CapTransport { out };
+        match input {
+            Input::Start(uri, boot) => self.start(now, uri, boot, t),
+            Input::Datagram(src, data) => self.on_datagram(now, src, data, t),
+            Input::AppSend(dst, proto, data) => self.send_app(now, dst, proto, data, t),
+            Input::Tick => self.on_tick(now, t),
+        }
+    }
+    fn next_deadline(&self) -> Option<SimTime> {
+        NodeDriver::next_deadline(self)
+    }
+    fn drain_events(&mut self, into: &mut Vec<NodeEvent>) {
+        drain_events(self, into);
+    }
+    fn counters(&self) -> TelemetryCounters {
+        *NodeDriver::counters(self)
+    }
+}
+
+/// The unbatched reference: a [`BrunetNode`] with no driver around it,
+/// whose sink hands every frame to the transcript the instant the node
+/// emits it, mid-cycle.
+struct Bare {
+    node: BrunetNode,
     events: Vec<NodeEvent>,
+    counters: TelemetryCounters,
 }
 
-/// One input to node A, at a millisecond-aligned instant.
-enum ScriptItem {
-    Datagram {
-        at: SimTime,
-        src: PhysAddr,
-        data: Bytes,
-    },
-    AppSend {
-        at: SimTime,
-        dst: Address,
-        proto: u8,
-        data: Bytes,
-    },
-}
-
-impl ScriptItem {
-    fn at(&self) -> SimTime {
-        match self {
-            ScriptItem::Datagram { at, .. } | ScriptItem::AppSend { at, .. } => *at,
+impl Bare {
+    fn new(node: BrunetNode) -> Self {
+        Bare {
+            node,
+            events: Vec::new(),
+            counters: TelemetryCounters::new(),
         }
     }
 }
 
+struct BareSink<'a> {
+    out: &'a mut Frames,
+    events: &'a mut Vec<NodeEvent>,
+    counters: &'a mut TelemetryCounters,
+}
+
+impl NodeSink for BareSink<'_> {
+    fn send(&mut self, to: PhysAddr, frame: Bytes) {
+        self.out.push((to, frame));
+    }
+    fn event(&mut self, event: NodeEvent) {
+        self.events.push(event);
+    }
+    fn count(&mut self, counter: Counter) {
+        self.counters.record(counter);
+    }
+    fn add_count(&mut self, counter: Counter, n: u64) {
+        self.counters.add(counter, n);
+    }
+}
+
+impl Endpoint for Bare {
+    fn feed(&mut self, now: SimTime, input: Input, out: &mut Frames) {
+        let sink = &mut BareSink {
+            out,
+            events: &mut self.events,
+            counters: &mut self.counters,
+        };
+        match input {
+            Input::Start(uri, boot) => self.node.start(now, uri, boot, sink),
+            Input::Datagram(src, data) => self.node.on_datagram(now, src, data, sink),
+            Input::AppSend(dst, proto, data) => self.node.send_app(now, dst, proto, data, sink),
+            Input::Tick => self.node.on_tick(now, sink),
+        }
+    }
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.node.next_deadline()
+    }
+    fn drain_events(&mut self, into: &mut Vec<NodeEvent>) {
+        into.append(&mut self.events);
+    }
+    fn counters(&self) -> TelemetryCounters {
+        self.counters
+    }
+}
+
+/// The wall-clock reference discipline: poll every step, tick once the
+/// node's next deadline has passed.
+fn due(next_deadline: Option<SimTime>, t: SimTime) -> bool {
+    next_deadline.is_some_and(|d| d <= t)
+}
+
+/// Everything node A did, in order, and when it transmitted each frame.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Transcript {
+    frames: Frames,
+    sent_at: Vec<SimTime>,
+    events: Vec<NodeEvent>,
+}
+
+impl Transcript {
+    /// Stamp the frames transmitted since the last call with `t`.
+    fn stamp(&mut self, t: SimTime) {
+        self.sent_at.resize(self.frames.len(), t);
+    }
+}
+
+/// One input to node A, at a millisecond-aligned instant.
+struct ScriptItem {
+    at: SimTime,
+    input: Input,
+}
+
+fn start_a() -> Input {
+    Input::Start(
+        TransportUri::udp(a_phys()),
+        vec![TransportUri::udp(b_phys())],
+    )
+}
+
 /// Capture-only transport for the replay passes.
 struct CapTransport<'a> {
-    out: &'a mut Vec<(PhysAddr, Bytes)>,
+    out: &'a mut Frames,
 }
 
 impl Transport for CapTransport<'_> {
     fn transmit(&mut self, to: PhysAddr, frame: Bytes) -> bool {
         self.out.push((to, frame));
-        true
-    }
-}
-
-/// Recording transport: captures the frame and also delivers it into the
-/// peer's inbox one step later (a fixed 1 ms wire).
-struct PipeTransport<'a> {
-    capture: Option<&'a mut Vec<(PhysAddr, Bytes)>>,
-    peer_phys: PhysAddr,
-    inbox: &'a mut Vec<(SimTime, Bytes)>,
-    deliver_at: SimTime,
-}
-
-impl Transport for PipeTransport<'_> {
-    fn transmit(&mut self, to: PhysAddr, frame: Bytes) -> bool {
-        if let Some(cap) = self.capture.as_deref_mut() {
-            cap.push((to, frame.clone()));
-        }
-        if to == self.peer_phys {
-            self.inbox.push((self.deliver_at, frame));
-        }
         true
     }
 }
@@ -129,26 +235,23 @@ fn drain_events(driver: &mut NodeDriver, into: &mut Vec<NodeEvent>) {
 
 /// The scripted application sends: two routed payloads to B plus one to an
 /// absent address (exercising nearest-delivery on the far side).
-fn app_sends() -> Vec<ScriptItem> {
+fn app_sends() -> Vec<(SimTime, Address, Bytes)> {
     vec![
-        ScriptItem::AppSend {
-            at: SimTime::from_secs(10),
-            dst: b_addr(),
-            proto: 9,
-            data: Bytes::from_static(b"first payload"),
-        },
-        ScriptItem::AppSend {
-            at: SimTime::from_secs(12),
-            dst: b_addr(),
-            proto: 9,
-            data: Bytes::from_static(b"second payload"),
-        },
-        ScriptItem::AppSend {
-            at: SimTime::from_secs(14),
-            dst: absent_addr(),
-            proto: 9,
-            data: Bytes::from_static(b"to nobody"),
-        },
+        (
+            SimTime::from_secs(10),
+            b_addr(),
+            Bytes::from_static(b"first payload"),
+        ),
+        (
+            SimTime::from_secs(12),
+            b_addr(),
+            Bytes::from_static(b"second payload"),
+        ),
+        (
+            SimTime::from_secs(14),
+            absent_addr(),
+            Bytes::from_static(b"to nobody"),
+        ),
     ]
 }
 
@@ -158,6 +261,25 @@ fn record() -> (Vec<ScriptItem>, Transcript, TelemetryCounters) {
     record_session(OverlayConfig::default(), vec![TransportUri::udp(b_phys())])
 }
 
+/// Frames in flight to one node on the fixed 1 ms wire: `(arrival, frame)`.
+type Inbox = Vec<(SimTime, Bytes)>;
+
+/// Remove and return the frames that have arrived by `t`, oldest first.
+fn arrived(inbox: &mut Inbox, t: SimTime) -> Vec<Bytes> {
+    let (due, later) = std::mem::take(inbox)
+        .into_iter()
+        .partition(|(at, _)| *at <= t);
+    *inbox = later;
+    due.into_iter().map(|(_, frame)| frame).collect()
+}
+
+/// Put what a node sent at `t` to `peer` on the wire; anything addressed
+/// elsewhere is never delivered.
+fn wire(sent: &[(PhysAddr, Bytes)], peer: PhysAddr, inbox: &mut Inbox, t: SimTime) {
+    let to_peer = sent.iter().filter(|(to, _)| *to == peer);
+    inbox.extend(to_peer.map(|(_, frame)| (t + step(), frame.clone())));
+}
+
 /// [`record`] generalized over node A's config and bootstrap list. Frames
 /// to any endpoint other than B's are captured in the transcript but never
 /// delivered — extra bootstrap URIs are deterministically dead.
@@ -165,187 +287,99 @@ fn record_session(
     cfg: OverlayConfig,
     bootstrap: Vec<TransportUri>,
 ) -> (Vec<ScriptItem>, Transcript, TelemetryCounters) {
-    let mut da = NodeDriver::new(BrunetNode::new(a_addr(), cfg, A_SEED));
+    let mut da = NodeDriver::new(fresh_a(cfg));
     let mut db = NodeDriver::new(BrunetNode::new(b_addr(), OverlayConfig::default(), 8));
     let mut script: Vec<ScriptItem> = Vec::new();
     let mut transcript = Transcript::default();
-    let mut to_a: Vec<(SimTime, Bytes)> = Vec::new();
-    let mut to_b: Vec<(SimTime, Bytes)> = Vec::new();
+    let (mut to_a, mut to_b) = (Inbox::new(), Inbox::new());
     let mut sends = app_sends();
     sends.reverse(); // pop from the back in time order
 
     let t0 = SimTime::ZERO;
-    {
-        let mut tb = PipeTransport {
-            capture: None,
-            peer_phys: a_phys(),
-            inbox: &mut to_a,
-            deliver_at: t0 + step(),
-        };
-        db.start(t0, TransportUri::udp(b_phys()), vec![], &mut tb);
-    }
-    {
-        let mut ta = PipeTransport {
-            capture: Some(&mut transcript.frames),
-            peer_phys: b_phys(),
-            inbox: &mut to_b,
-            deliver_at: t0 + step(),
-        };
-        da.start(t0, TransportUri::udp(a_phys()), bootstrap, &mut ta);
-    }
+    let mut b_sent = Frames::new();
+    db.feed(
+        t0,
+        Input::Start(TransportUri::udp(b_phys()), vec![]),
+        &mut b_sent,
+    );
+    wire(&b_sent, a_phys(), &mut to_a, t0);
+    let start = Input::Start(TransportUri::udp(a_phys()), bootstrap);
+    da.feed(t0, start, &mut transcript.frames);
+    transcript.stamp(t0);
+    wire(&transcript.frames, b_phys(), &mut to_b, t0);
 
     let horizon = SimTime::from_secs(HORIZON_SECS);
     let mut t = t0;
     while t <= horizon {
         // Node A: inbound frames, scripted sends, then a due-gated tick —
-        // the same per-step order the poll replay uses.
-        let mut inbound: Vec<Bytes> = Vec::new();
-        to_a.retain(|(at, frame)| {
-            if *at <= t {
-                inbound.push(frame.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for frame in inbound {
-            script.push(ScriptItem::Datagram {
+        // the same per-step order the poll replay uses. This loop *is* the
+        // poll discipline the armed replay is held to.
+        let sent = transcript.frames.len();
+        let mut inputs: Vec<Input> = arrived(&mut to_a, t)
+            .into_iter()
+            .map(|frame| Input::Datagram(b_phys(), frame))
+            .collect();
+        while sends.last().is_some_and(|s| s.0 <= t) {
+            let (_, dst, data) = sends.pop().expect("nonempty");
+            inputs.push(Input::AppSend(dst, 9, data));
+        }
+        for input in inputs {
+            script.push(ScriptItem {
                 at: t,
-                src: b_phys(),
-                data: frame.clone(),
+                input: input.clone(),
             });
-            let mut ta = PipeTransport {
-                capture: Some(&mut transcript.frames),
-                peer_phys: b_phys(),
-                inbox: &mut to_b,
-                deliver_at: t + step(),
-            };
-            da.on_datagram(t, b_phys(), frame, &mut ta);
+            da.feed(t, input, &mut transcript.frames);
         }
-        while sends.last().is_some_and(|s| s.at() <= t) {
-            let ScriptItem::AppSend {
-                at,
-                dst,
-                proto,
-                data,
-            } = sends.pop().expect("nonempty")
-            else {
-                unreachable!("app_sends holds only AppSend items");
-            };
-            script.push(ScriptItem::AppSend {
-                at,
-                dst,
-                proto,
-                data: data.clone(),
-            });
-            let mut ta = PipeTransport {
-                capture: Some(&mut transcript.frames),
-                peer_phys: b_phys(),
-                inbox: &mut to_b,
-                deliver_at: t + step(),
-            };
-            da.send_app(t, dst, proto, data, &mut ta);
-        }
-        if da.tick_due(t) {
-            let mut ta = PipeTransport {
-                capture: Some(&mut transcript.frames),
-                peer_phys: b_phys(),
-                inbox: &mut to_b,
-                deliver_at: t + step(),
-            };
-            da.on_tick(t, &mut ta);
+        if due(da.next_deadline(), t) {
+            da.feed(t, Input::Tick, &mut transcript.frames);
         }
         drain_events(&mut da, &mut transcript.events);
+        transcript.stamp(t);
+        wire(&transcript.frames[sent..], b_phys(), &mut to_b, t);
 
         // Node B: same shape, unrecorded.
-        let mut inbound_b: Vec<Bytes> = Vec::new();
-        to_b.retain(|(at, frame)| {
-            if *at <= t {
-                inbound_b.push(frame.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for frame in inbound_b {
-            let mut tb = PipeTransport {
-                capture: None,
-                peer_phys: a_phys(),
-                inbox: &mut to_a,
-                deliver_at: t + step(),
-            };
-            db.on_datagram(t, a_phys(), frame, &mut tb);
+        b_sent.clear();
+        for frame in arrived(&mut to_b, t) {
+            db.feed(t, Input::Datagram(a_phys(), frame), &mut b_sent);
         }
-        if db.tick_due(t) {
-            let mut tb = PipeTransport {
-                capture: None,
-                peer_phys: a_phys(),
-                inbox: &mut to_a,
-                deliver_at: t + step(),
-            };
-            db.on_tick(t, &mut tb);
+        if due(db.next_deadline(), t) {
+            db.feed(t, Input::Tick, &mut b_sent);
         }
-        let mut scratch = Vec::new();
-        drain_events(&mut db, &mut scratch);
+        drain_events(&mut db, &mut Vec::new());
+        wire(&b_sent, a_phys(), &mut to_a, t);
 
         t += step();
     }
     (script, transcript, *da.counters())
 }
 
-/// Replay the script under the wall-clock discipline: 1 ms due-gated polls.
-fn replay_poll(script: &[ScriptItem], batching: bool) -> (Transcript, TelemetryCounters) {
-    let mut d = fresh_a();
-    d.set_batching(batching);
+/// Replay the script into `e` under the poll discipline: every 1 ms step
+/// feeds what is due, then ticks if the next deadline has passed.
+fn replay_poll<E: Endpoint>(mut e: E, script: &[ScriptItem]) -> (Transcript, TelemetryCounters) {
     let mut transcript = Transcript::default();
-    {
-        let mut cap = CapTransport {
-            out: &mut transcript.frames,
-        };
-        d.start(
-            SimTime::ZERO,
-            TransportUri::udp(a_phys()),
-            vec![TransportUri::udp(b_phys())],
-            &mut cap,
-        );
-    }
+    e.feed(SimTime::ZERO, start_a(), &mut transcript.frames);
     let horizon = SimTime::from_secs(HORIZON_SECS);
     let mut idx = 0;
     let mut t = SimTime::ZERO;
     while t <= horizon {
-        while idx < script.len() && script[idx].at() <= t {
-            let mut cap = CapTransport {
-                out: &mut transcript.frames,
-            };
-            match &script[idx] {
-                ScriptItem::Datagram { src, data, .. } => {
-                    d.on_datagram(t, *src, data.clone(), &mut cap);
-                }
-                ScriptItem::AppSend {
-                    dst, proto, data, ..
-                } => {
-                    d.send_app(t, *dst, *proto, data.clone(), &mut cap);
-                }
-            }
+        while idx < script.len() && script[idx].at <= t {
+            e.feed(t, script[idx].input.clone(), &mut transcript.frames);
             idx += 1;
         }
-        if d.tick_due(t) {
-            let mut cap = CapTransport {
-                out: &mut transcript.frames,
-            };
-            d.on_tick(t, &mut cap);
+        if due(e.next_deadline(), t) {
+            e.feed(t, Input::Tick, &mut transcript.frames);
         }
+        transcript.stamp(t);
         t += step();
     }
-    drain_events(&mut d, &mut transcript.events);
-    (transcript, *d.counters())
+    e.drain_events(&mut transcript.events);
+    (transcript, e.counters())
 }
 
-/// Replay the script under the simulator discipline: wakes armed at exact
-/// deadlines via `arm_hint`, fired through `timer_fired` + `on_tick`.
-fn replay_armed(script: &[ScriptItem], batching: bool) -> (Transcript, TelemetryCounters) {
-    let mut d = fresh_a();
-    d.set_batching(batching);
+/// Replay the script under the shipping timer contract: wakes armed at
+/// exact deadlines via `arm_hint`, fired through `timer_fired` + `on_tick`.
+fn replay_armed(cfg: OverlayConfig, script: &[ScriptItem]) -> (Transcript, TelemetryCounters) {
+    let mut d = NodeDriver::new(fresh_a(cfg));
     let mut transcript = Transcript::default();
     let mut wakes: BinaryHeap<Reverse<SimTime>> = BinaryHeap::new();
 
@@ -357,74 +391,49 @@ fn replay_armed(script: &[ScriptItem], batching: bool) -> (Transcript, Telemetry
     fn fire(
         d: &mut NodeDriver,
         at: SimTime,
-        frames: &mut Vec<(PhysAddr, Bytes)>,
+        transcript: &mut Transcript,
         wakes: &mut BinaryHeap<Reverse<SimTime>>,
     ) {
         d.timer_fired();
-        let mut cap = CapTransport { out: frames };
-        d.on_tick(at, &mut cap);
+        d.feed(at, Input::Tick, &mut transcript.frames);
+        transcript.stamp(at);
         rearm(d, at, wakes);
     }
 
-    {
-        let mut cap = CapTransport {
-            out: &mut transcript.frames,
-        };
-        d.start(
-            SimTime::ZERO,
-            TransportUri::udp(a_phys()),
-            vec![TransportUri::udp(b_phys())],
-            &mut cap,
-        );
-    }
+    d.feed(SimTime::ZERO, start_a(), &mut transcript.frames);
+    transcript.stamp(SimTime::ZERO);
     rearm(&mut d, SimTime::ZERO, &mut wakes);
 
     let horizon = SimTime::from_secs(HORIZON_SECS);
     for item in script {
-        let t = item.at();
+        let t = item.at;
         // Wakes strictly before this input fire at their exact deadline.
         while wakes.peek().is_some_and(|Reverse(w)| *w < t) {
             let Reverse(w) = wakes.pop().expect("nonempty");
-            fire(&mut d, w, &mut transcript.frames, &mut wakes);
+            fire(&mut d, w, &mut transcript, &mut wakes);
         }
-        {
-            let mut cap = CapTransport {
-                out: &mut transcript.frames,
-            };
-            match item {
-                ScriptItem::Datagram { src, data, .. } => {
-                    d.on_datagram(t, *src, data.clone(), &mut cap);
-                }
-                ScriptItem::AppSend {
-                    dst, proto, data, ..
-                } => {
-                    d.send_app(t, *dst, *proto, data.clone(), &mut cap);
-                }
-            }
-        }
+        d.feed(t, item.input.clone(), &mut transcript.frames);
+        transcript.stamp(t);
         rearm(&mut d, t, &mut wakes);
         // Wakes due exactly now fire after the input, matching the poll
         // loop's feed-then-tick order within one step.
         while wakes.peek().is_some_and(|Reverse(w)| *w <= t) {
             wakes.pop();
-            fire(&mut d, t, &mut transcript.frames, &mut wakes);
+            fire(&mut d, t, &mut transcript, &mut wakes);
         }
     }
     while wakes.peek().is_some_and(|Reverse(w)| *w <= horizon) {
         let Reverse(w) = wakes.pop().expect("nonempty");
-        fire(&mut d, w, &mut transcript.frames, &mut wakes);
+        fire(&mut d, w, &mut transcript, &mut wakes);
     }
     drain_events(&mut d, &mut transcript.events);
     (transcript, *d.counters())
 }
 
 // ---------------------------------------------------------------------------
-// Transit fast path vs forced decode path
+// The relay chain: decode-free transit, batched emission
 // ---------------------------------------------------------------------------
 
-/// A three-node relay chain driven purely by datagram injection (no timers
-/// fire), used to compare the decode-free transit fast path against the
-/// forced decode → re-encode path over the exact same inputs.
 fn chain_addr(b: u8) -> Address {
     Address([b; 20])
 }
@@ -437,51 +446,64 @@ fn stranger_phys() -> PhysAddr {
     PhysAddr::new(PhysIp::new(10, 0, 9, 9), 15000)
 }
 
+/// One datagram a chain node took off the decode-free transit path: what
+/// decode → `hops + 1` → encode makes of the input (computed here, before
+/// the node saw it), and everything the node did with it.
+struct FastForward {
+    reencoded: Bytes,
+    out: Frames,
+    events: Vec<NodeEvent>,
+}
+
 /// Everything the chain did, in arrival order: per-node frame transcripts,
 /// per-node event transcripts, per-node counters.
 struct ChainRun {
     frames: Vec<(usize, PhysAddr, Bytes)>,
     events: Vec<(usize, NodeEvent)>,
     counters: Vec<TelemetryCounters>,
+    fast_forwards: Vec<FastForward>,
 }
 
-/// Run the scripted relay-chain session with the transit fast path on or
-/// off. Nodes 0–2 sit on a short ring arc (0x10.., 0x18.., 0x20..) so
-/// greedy forwarding genuinely relays along the chain, each
-/// structured-connected to its neighbours; every frame a node emits toward
-/// another chain node is delivered, everything else (replies to synthetic
-/// endpoints) is captured but dropped.
-fn run_relay_chain(fast: bool, batching: bool) -> ChainRun {
+/// What the decode path would forward for `frame`, if it is a routed packet.
+fn reencode_one_hop_on(frame: &Bytes) -> Option<Bytes> {
+    match Frame::decode(frame.clone()) {
+        Ok(Frame::Routed(mut pkt)) => {
+            pkt.hops = pkt.hops.checked_add(1)?;
+            Some(Frame::Routed(pkt).encode())
+        }
+        _ => None,
+    }
+}
+
+/// Run the scripted relay-chain session, a three-node chain driven purely
+/// by datagram injection (no timers fire). Nodes 0–2 sit on a short ring
+/// arc (0x10.., 0x18.., 0x20..) so greedy forwarding genuinely relays
+/// along the chain, each structured-connected to its neighbours; every
+/// frame a node emits toward another chain node is delivered, everything
+/// else (replies to synthetic endpoints) is captured but dropped.
+fn run_relay_chain<E: Endpoint>(wrap: impl Fn(BrunetNode) -> E) -> ChainRun {
     let addrs = [chain_addr(0x10), chain_addr(0x18), chain_addr(0x20)];
-    let cfg = OverlayConfig {
-        transit_fast_path: fast,
-        ..OverlayConfig::default()
-    };
-    let mut drivers: Vec<NodeDriver> = addrs
+    let mut nodes: Vec<E> = addrs
         .iter()
         .enumerate()
-        .map(|(i, &a)| {
-            let mut d = NodeDriver::new(BrunetNode::new(a, cfg.clone(), 100 + i as u64));
-            d.set_batching(batching);
-            d
-        })
+        .map(|(i, &a)| wrap(BrunetNode::new(a, OverlayConfig::default(), 100 + i as u64)))
         .collect();
     let mut run = ChainRun {
         frames: Vec::new(),
         events: Vec::new(),
         counters: Vec::new(),
+        fast_forwards: Vec::new(),
     };
     let t0 = SimTime::ZERO;
     let node_at = |phys: PhysAddr| (0..3).find(|&i| chain_phys(i) == phys);
 
     // Start all nodes (no bootstrap: nothing emitted), then establish the
     // chain links via passive accepts. Setup frames (link replies) are
-    // logged but not delivered — a deterministic lossy wire, identical in
-    // both configurations.
-    for (i, d) in drivers.iter_mut().enumerate() {
+    // logged but not delivered — a deterministic lossy wire.
+    for (i, n) in nodes.iter_mut().enumerate() {
         let mut scratch = Vec::new();
-        let mut cap = CapTransport { out: &mut scratch };
-        d.start(t0, TransportUri::udp(chain_phys(i)), vec![], &mut cap);
+        let start = Input::Start(TransportUri::udp(chain_phys(i)), vec![]);
+        n.feed(t0, start, &mut scratch);
         assert!(scratch.is_empty(), "bootstrap-less start emits nothing");
     }
     for (i, j) in [(0usize, 1usize), (1, 0), (1, 2), (2, 1)] {
@@ -493,15 +515,10 @@ fn run_relay_chain(fast: bool, batching: bool) -> ChainRun {
         })
         .encode();
         let mut out = Vec::new();
-        {
-            let mut cap = CapTransport { out: &mut out };
-            drivers[i].on_datagram(t0, chain_phys(j), req, &mut cap);
-        }
-        for (to, f) in out {
-            run.frames.push((i, to, f));
-        }
+        nodes[i].feed(t0, Input::Datagram(chain_phys(j), req), &mut out);
+        run.frames.extend(out.into_iter().map(|(to, f)| (i, to, f)));
         let mut evs = Vec::new();
-        drain_events(&mut drivers[i], &mut evs);
+        nodes[i].drain_events(&mut evs);
         run.events.extend(evs.into_iter().map(|e| (i, e)));
     }
 
@@ -535,8 +552,8 @@ fn run_relay_chain(fast: bool, batching: bool) -> ChainRun {
             chain_phys(0),
             app(chain_addr(0x08), 1, b"no bounce back"),
         ),
-        // A routed CTM: transit at node 0 must take the decode path in both
-        // configurations (only app frames are peekable).
+        // A routed CTM: transit at node 0 must take the decode path (only
+        // app frames are peekable).
         (
             0,
             stranger_phys(),
@@ -555,19 +572,25 @@ fn run_relay_chain(fast: bool, batching: bool) -> ChainRun {
             })
             .encode(),
         ),
-        // Garbage: decode failure, counted identically.
+        // Garbage: decode failure, counted.
         (0, stranger_phys(), Bytes::from_static(&[0xde, 0xad, 0xbe])),
     ];
 
     let mut queue: VecDeque<(usize, PhysAddr, Bytes)> = injections.into();
     while let Some((node, from, frame)) = queue.pop_front() {
+        let reencoded = reencode_one_hop_on(&frame);
+        let fast_before = nodes[node].counters().get(Counter::TransitFastPath);
         let mut out = Vec::new();
-        {
-            let mut cap = CapTransport { out: &mut out };
-            drivers[node].on_datagram(t0, from, frame, &mut cap);
-        }
+        nodes[node].feed(t0, Input::Datagram(from, frame), &mut out);
         let mut evs = Vec::new();
-        drain_events(&mut drivers[node], &mut evs);
+        nodes[node].drain_events(&mut evs);
+        if nodes[node].counters().get(Counter::TransitFastPath) > fast_before {
+            run.fast_forwards.push(FastForward {
+                reencoded: reencoded.expect("the fast path only takes routed frames"),
+                out: out.clone(),
+                events: evs.clone(),
+            });
+        }
         run.events.extend(evs.into_iter().map(|e| (node, e)));
         for (to, f) in out {
             run.frames.push((node, to, f.clone()));
@@ -577,203 +600,185 @@ fn run_relay_chain(fast: bool, batching: bool) -> ChainRun {
         }
     }
 
-    run.counters = drivers.iter().map(|d| *d.counters()).collect();
+    run.counters = nodes.iter().map(|n| n.counters()).collect();
     run
 }
 
+/// The decode-free transit path (header peek, hop byte patched in the
+/// received buffer) against the slow path it shadows: every frame it
+/// forwards is byte-for-byte what decode → `hops + 1` → encode produces,
+/// it goes out alone, and it raises no event.
 #[test]
 fn transit_fast_and_slow_paths_are_byte_identical() {
-    let fast = run_relay_chain(true, true);
-    let slow = run_relay_chain(false, true);
+    let run = run_relay_chain(NodeDriver::new);
 
-    // Byte-identical frame transcripts: same frames, same order, same
-    // destinations, from every node in the chain.
-    assert_eq!(
-        fast.frames.len(),
-        slow.frames.len(),
-        "transcript lengths differ"
+    assert!(
+        run.fast_forwards.len() >= 3,
+        "the app relays must take the fast path"
     );
-    for (i, (f, s)) in fast.frames.iter().zip(slow.frames.iter()).enumerate() {
-        assert_eq!(f, s, "frame #{i} differs between fast and slow paths");
+    for (i, ff) in run.fast_forwards.iter().enumerate() {
+        assert_eq!(ff.out.len(), 1, "fast forward #{i} must emit one frame");
+        assert_eq!(
+            ff.out[0].1, ff.reencoded,
+            "fast forward #{i} differs from decode → hops + 1 → encode"
+        );
+        assert!(ff.events.is_empty(), "fast forward #{i} raised events");
     }
-    assert_eq!(fast.events, slow.events, "event transcripts differ");
 
     // The trace must actually exercise what it claims to.
-    let sum = |run: &ChainRun, c: Counter| -> u64 { run.counters.iter().map(|t| t.get(c)).sum() };
+    let sum = |c: Counter| -> u64 { run.counters.iter().map(|t| t.get(c)).sum() };
     assert!(
-        sum(&fast, Counter::TransitFastPath) >= 3,
-        "fast run must take the fast path for the app relays"
+        sum(Counter::TransitSlowPath) >= 1,
+        "the routed CTM must take the decode path"
     );
+    assert!(sum(Counter::DroppedTtl) >= 1, "TTL drop must occur");
     assert!(
-        sum(&fast, Counter::TransitSlowPath) >= 1,
-        "the routed CTM must take the decode path even in the fast run"
-    );
-    assert_eq!(
-        sum(&slow, Counter::TransitFastPath),
-        0,
-        "disabled fast path must never fire"
-    );
-    assert_eq!(
-        sum(&fast, Counter::TransitFastPath) + sum(&fast, Counter::TransitSlowPath),
-        sum(&slow, Counter::TransitSlowPath),
-        "every transit forward must be attributed to exactly one path"
-    );
-    assert!(sum(&fast, Counter::DroppedTtl) >= 1, "TTL drop must occur");
-    assert!(
-        sum(&fast, Counter::DeliveredExact) >= 1 && sum(&fast, Counter::DeliveredNearest) >= 1,
+        sum(Counter::DeliveredExact) >= 1 && sum(Counter::DeliveredNearest) >= 1,
         "both delivery modes must occur"
     );
-
-    // Telemetry identical modulo the path-attribution counters.
-    for (i, (f, s)) in fast.counters.iter().zip(slow.counters.iter()).enumerate() {
-        for c in Counter::ALL {
-            if matches!(c, Counter::TransitFastPath | Counter::TransitSlowPath) {
-                continue;
-            }
-            assert_eq!(
-                f.get(c),
-                s.get(c),
-                "node {i} counter {c} differs between fast and slow paths"
-            );
-        }
-    }
 }
 
 #[test]
 fn timer_disciplines_are_byte_identical() {
-    let (script, recorded, recorded_counters) = record();
-    assert!(
-        script
-            .iter()
-            .any(|s| matches!(s, ScriptItem::Datagram { .. })),
-        "the session must actually exchange frames"
-    );
-    assert!(
-        recorded
-            .events
-            .iter()
-            .any(|e| matches!(e, NodeEvent::Connected { .. })),
-        "node A must link up during the session"
-    );
+    for cfg in [OverlayConfig::default(), brisk()] {
+        let boot = vec![TransportUri::udp(b_phys())];
+        let (script, recorded, recorded_counters) = record_session(cfg.clone(), boot);
+        assert!(
+            script
+                .iter()
+                .any(|s| matches!(s.input, Input::Datagram(..))),
+            "the session must actually exchange frames"
+        );
+        assert!(
+            recorded
+                .events
+                .iter()
+                .any(|e| matches!(e, NodeEvent::Connected { .. })),
+            "node A must link up during the session"
+        );
 
-    let (poll, poll_counters) = replay_poll(&script, true);
-    let (armed, armed_counters) = replay_armed(&script, true);
+        // The poll replay reproduces the live session exactly (determinism
+        // of the driver given identical inputs).
+        let (poll, poll_counters) = replay_poll(NodeDriver::new(fresh_a(cfg.clone())), &script);
+        assert_eq!(poll, recorded, "poll replay diverged from the recording");
+        assert_eq!(poll_counters, recorded_counters);
 
-    // The poll replay reproduces the live session exactly (determinism of
-    // the driver given identical inputs).
-    assert_eq!(poll, recorded, "poll replay diverged from the recording");
-    assert_eq!(poll_counters, recorded_counters);
-
-    // And the deadline-armed discipline is byte-identical to polling.
-    assert_eq!(
-        armed.frames.len(),
-        poll.frames.len(),
-        "frame transcript lengths differ between disciplines"
-    );
-    assert_eq!(armed, poll, "disciplines diverged");
-    assert_eq!(armed_counters, poll_counters, "telemetry diverged");
+        // And the deadline-armed contract is byte-identical to polling,
+        // down to the instant each frame leaves.
+        let (armed, armed_counters) = replay_armed(cfg, &script);
+        assert_eq!(
+            armed.frames.len(),
+            poll.frames.len(),
+            "frame transcript lengths differ between disciplines"
+        );
+        assert_eq!(armed, poll, "disciplines diverged");
+        assert_eq!(armed_counters, poll_counters, "telemetry diverged");
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Multi-introducer bootstrap vs the legacy funnel
+// Bootstrap: the single-introducer funnel and the introducer cache
 // ---------------------------------------------------------------------------
 
 fn dead_phys() -> PhysAddr {
     PhysAddr::new(PhysIp::new(10, 0, 0, 9), 14001)
 }
 
-/// With exactly one introducer configured, the multi-introducer bootstrap
-/// must be indistinguishable from the legacy single-funnel path: same
-/// frames, same events, same telemetry, byte for byte. This is the
-/// compatibility contract that lets `legacy_bootstrap` default to off.
+/// FNV-1a over everything node A did: each frame's destination and bytes,
+/// each event, every counter.
+fn session_digest(t: &Transcript, counters: &TelemetryCounters) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (to, frame) in &t.frames {
+        eat(format!("{to:?}").as_bytes());
+        eat(frame);
+    }
+    for e in &t.events {
+        eat(format!("{e:?}").as_bytes());
+    }
+    for c in Counter::ALL {
+        eat(c.name().as_bytes());
+        eat(&counters.get(c).to_le_bytes());
+    }
+    hash
+}
+
+/// With exactly one introducer configured, bootstrap is the single funnel:
+/// one wildcard attempt on the full link-retry budget, the cache selector
+/// never consulted. The pinned digest is the session's transcript under
+/// `legacy_bootstrap: true` at commit 8f639e1, the last one that had the
+/// flag — where this test compared the two paths directly and they were
+/// equal, frames, events and telemetry.
 #[test]
 fn single_introducer_bootstrap_matches_the_legacy_funnel_byte_for_byte() {
-    let boot = vec![TransportUri::udp(b_phys())];
-    let (_, multi, multi_counters) = record_session(OverlayConfig::default(), boot.clone());
-    let legacy_cfg = OverlayConfig {
-        legacy_bootstrap: true,
-        ..OverlayConfig::default()
-    };
-    let (_, legacy, legacy_counters) = record_session(legacy_cfg, boot);
-
+    let (_, session, counters) = record();
     assert!(
-        multi
+        session
             .events
             .iter()
             .any(|e| matches!(e, NodeEvent::Connected { .. })),
         "the session must actually link up"
     );
     assert_eq!(
-        multi, legacy,
-        "single-introducer transcript diverged from the legacy funnel"
+        (
+            session.frames.len(),
+            session.events.len(),
+            session_digest(&session, &counters)
+        ),
+        (44, 3, 13_921_976_092_887_995_306),
+        "single-introducer transcript diverged from the recorded funnel"
     );
     assert_eq!(
-        multi_counters, legacy_counters,
-        "telemetry diverged between the single-introducer and legacy paths"
-    );
-    assert_eq!(
-        multi_counters.get(Counter::IntroducerTried),
+        counters.get(Counter::IntroducerTried),
         0,
         "a single configured introducer must take the funnel, not the cache selector"
     );
 }
 
-/// Where the paths are *meant* to diverge: two introducers with the first
-/// one dead. The legacy funnel walks the URI list on the full link-retry
-/// budget (~155 s per URI) and never reaches the live introducer inside
-/// the horizon; the cache path abandons the dead one on the short
-/// introducer budget, demotes it, and falls through to the live one.
+/// Where the cache path earns its keep: two introducers, and node A's seed
+/// makes the selector draw the dead one first. A whole-list funnel would
+/// sit on a dead first URI for the full link-retry budget (~155 s) and
+/// never reach the live introducer inside the horizon; the cache path
+/// abandons it on the short introducer budget, demotes it, and falls
+/// through to the live one.
 #[test]
 fn dead_first_introducer_diverges_from_the_legacy_funnel() {
-    let boot = vec![TransportUri::udp(dead_phys()), TransportUri::udp(b_phys())];
-    let (_, multi, multi_counters) = record_session(OverlayConfig::default(), boot.clone());
-    let legacy_cfg = OverlayConfig {
-        legacy_bootstrap: true,
-        ..OverlayConfig::default()
-    };
-    let (_, legacy, legacy_counters) = record_session(legacy_cfg, boot);
+    let boot = vec![TransportUri::udp(b_phys()), TransportUri::udp(dead_phys())];
+    let (_, session, counters) = record_session(OverlayConfig::default(), boot);
 
     assert!(
-        multi
+        session
             .events
             .iter()
             .any(|e| matches!(e, NodeEvent::Connected { .. })),
         "the cache path must reach the live introducer within the horizon"
     );
-    assert!(
-        !legacy
-            .events
-            .iter()
-            .any(|e| matches!(e, NodeEvent::Connected { .. })),
-        "the legacy funnel must still be stuck on the dead introducer"
+    assert_eq!(
+        session.frames[0].0,
+        dead_phys(),
+        "the scenario needs the dead introducer dialled first"
     );
     assert!(
-        legacy.frames.iter().all(|(to, _)| *to == dead_phys()),
-        "legacy must not have reached past the dead URI inside the horizon"
-    );
-    assert!(
-        multi_counters.get(Counter::IntroducerTried) >= 1,
+        counters.get(Counter::IntroducerTried) >= 1,
         "the cache path must draw candidates from the selector"
     );
-    assert_eq!(
-        legacy_counters.get(Counter::IntroducerTried),
-        0,
-        "legacy mode must never touch the cache selector"
-    );
-    assert_eq!(
-        legacy_counters.get(Counter::IntroducerFallback),
-        0,
-        "legacy mode must never fall through the cache"
+    assert!(
+        counters.get(Counter::IntroducerFallback) >= 1,
+        "the dead introducer must be demoted and fallen through"
     );
 }
 
 // ---------------------------------------------------------------------------
-// Batched vs unbatched emission
+// Batched vs frame-at-a-time emission
 // ---------------------------------------------------------------------------
 
 /// Counters that only describe the flush mechanism itself — the one place
-/// batched and unbatched runs are *allowed* to differ. `SendFailed` is
-/// deliberately not here: both paths must attribute failures identically.
+/// the driver and the bare node are *allowed* to differ. `SendFailed` is
+/// not here because no transport in this file fails.
 fn is_batch_bookkeeping(c: Counter) -> bool {
     matches!(
         c,
@@ -802,59 +807,36 @@ fn assert_counters_match_modulo_batching(
             "{what}: counter {c} differs between batched and unbatched runs"
         );
     }
-    assert_eq!(
-        unbatched.get(Counter::BatchFlushes),
-        0,
-        "{what}: unbatched run must never flush a batch"
-    );
-    assert_eq!(
-        unbatched.get(Counter::BatchFrames),
-        0,
-        "{what}: unbatched run must never count batched frames"
-    );
 }
 
-/// The tentpole proof for the join-plus-traffic session: replaying the same
-/// recorded script with batching on and off — under *both* timer
-/// disciplines — produces byte-identical frame and event transcripts, and
-/// telemetry that differs only in the flush bookkeeping.
+/// Batching changes when the transport sees a cycle's frames, never their
+/// order or bytes: the driver's transcript of the join-plus-traffic
+/// session — under both timer disciplines — equals the bare node's, frames
+/// and events, and telemetry differs only in the flush bookkeeping.
 #[test]
 fn batched_and_unbatched_emission_are_byte_identical() {
-    let (script, recorded, _) = record();
+    let (script, recorded, recorded_c) = record();
     assert!(
         script
             .iter()
-            .any(|s| matches!(s, ScriptItem::Datagram { .. })),
+            .any(|s| matches!(s.input, Input::Datagram(..))),
         "the session must actually exchange frames"
     );
 
-    let (poll_on, poll_on_c) = replay_poll(&script, true);
-    let (poll_off, poll_off_c) = replay_poll(&script, false);
-    assert_eq!(
-        poll_on, poll_off,
-        "poll discipline: batching changed the transcript"
-    );
-    assert_eq!(
-        poll_on, recorded,
-        "batched poll replay diverged from the live recording"
-    );
-    assert_counters_match_modulo_batching(&poll_on_c, &poll_off_c, "poll discipline");
+    let (bare, bare_c) = replay_poll(Bare::new(fresh_a(OverlayConfig::default())), &script);
+    assert_eq!(recorded, bare, "batching changed the polled transcript");
+    assert_counters_match_modulo_batching(&recorded_c, &bare_c, "poll discipline");
 
-    let (armed_on, armed_on_c) = replay_armed(&script, true);
-    let (armed_off, armed_off_c) = replay_armed(&script, false);
-    assert_eq!(
-        armed_on, armed_off,
-        "armed discipline: batching changed the transcript"
-    );
-    assert_eq!(armed_on, poll_on, "disciplines diverged under batching");
-    assert_counters_match_modulo_batching(&armed_on_c, &armed_off_c, "armed discipline");
+    let (armed, armed_c) = replay_armed(OverlayConfig::default(), &script);
+    assert_eq!(armed, bare, "batching changed the armed transcript");
+    assert_counters_match_modulo_batching(&armed_c, &bare_c, "armed discipline");
 
-    // The batched runs must genuinely batch: every emitted frame is
+    // The driver runs must genuinely batch: every emitted frame is
     // accounted to exactly one flush, and multi-frame bursts occur (a join
     // handshake emits several frames in one cycle).
     for (what, transcript, counters) in [
-        ("poll", &poll_on, &poll_on_c),
-        ("armed", &armed_on, &armed_on_c),
+        ("poll", &recorded, &recorded_c),
+        ("armed", &armed, &armed_c),
     ] {
         assert!(
             counters.get(Counter::BatchFlushes) > 0,
@@ -872,12 +854,12 @@ fn batched_and_unbatched_emission_are_byte_identical() {
     }
 }
 
-/// The same proof for the second runtime shape: the relay-chain session
-/// (transit fast path on) is transcript-identical with batching on and off.
+/// The same proof for the second runtime shape: the relay-chain session is
+/// transcript-identical through the driver and through bare nodes.
 #[test]
 fn relay_chain_is_identical_batched_and_unbatched() {
-    let batched = run_relay_chain(true, true);
-    let unbatched = run_relay_chain(true, false);
+    let batched = run_relay_chain(NodeDriver::new);
+    let unbatched = run_relay_chain(Bare::new);
 
     assert_eq!(
         batched.frames, unbatched.frames,
@@ -895,19 +877,13 @@ fn relay_chain_is_identical_batched_and_unbatched() {
     {
         assert_counters_match_modulo_batching(b, u, &format!("chain node {i}"));
     }
-    let flushes: u64 = batched
-        .counters
-        .iter()
-        .map(|c| c.get(Counter::BatchFlushes))
-        .sum();
-    let frames: u64 = batched
-        .counters
-        .iter()
-        .map(|c| c.get(Counter::BatchFrames))
-        .sum();
-    assert!(flushes > 0, "the chain must flush batches");
+    let sum = |c: Counter| -> u64 { batched.counters.iter().map(|t| t.get(c)).sum() };
+    assert!(
+        sum(Counter::BatchFlushes) > 0,
+        "the chain must flush batches"
+    );
     assert_eq!(
-        frames,
+        sum(Counter::BatchFrames),
         batched.frames.len() as u64,
         "every chain frame must be attributed to a flush"
     );

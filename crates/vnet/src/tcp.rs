@@ -902,12 +902,18 @@ impl TcpConn {
         whole
     }
 
-    fn ingest_payload(&mut self, seq: u32, payload: Bytes) {
-        // Drop data beyond our buffer capacity (the advertised window
-        // should prevent this; be safe against misbehaving peers).
+    fn ingest_payload(&mut self, seq: u32, mut payload: Bytes) {
         if seq_lt(self.rcv_nxt, seq) {
-            // Out of order: stash for later.
-            self.ooo.entry(seq).or_insert(payload);
+            // Out of order: stash for later what falls inside the receive
+            // window `[rcv_nxt, rcv_nxt + recv_capacity)`. The advertised
+            // window keeps an honest peer inside it; a segment that starts
+            // beyond it is dropped and one that runs past it is cut, so far
+            // sequence numbers cannot grow the map.
+            let ahead = seq.wrapping_sub(self.rcv_nxt) as usize;
+            if ahead < self.cfg.recv_capacity {
+                let keep = payload.len().min(self.cfg.recv_capacity - ahead);
+                self.ooo.entry(seq).or_insert(payload.split_to(keep));
+            }
         } else {
             // Overlaps or extends the in-order point.
             self.append_in_order(seq, payload);
@@ -1059,6 +1065,20 @@ mod tests {
         let got = s.read(T0, usize::MAX);
         assert_eq!(got.len(), 3000);
         assert!(got.iter().all(|&b| b == 1));
+    }
+
+    #[test]
+    fn out_of_order_chunk_is_cut_at_the_window_end() {
+        let (mut c, mut s) = handshake(T0);
+        c.write(T0, &[1u8; 100]);
+        let mut seg = c.take_output().remove(0);
+        let cap = cfg().recv_capacity as u32;
+        seg.seq = seg.seq.wrapping_add(cap - 40); // 40 bytes of window left
+        s.on_segment(T0, seg.clone());
+        assert_eq!(s.ooo.values().map(Bytes::len).collect::<Vec<_>>(), [40]);
+        seg.seq = seg.seq.wrapping_add(40); // starts exactly at the window end
+        s.on_segment(T0, seg);
+        assert_eq!(s.ooo.len(), 1);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! High-density live runtime: many overlay nodes per thread.
 //!
-//! The thread-per-node layout in [`crate::udprt`] stops scaling around a
-//! few hundred nodes per process: each node costs a stack, a scheduler
-//! entry, and a 20 ms poll wakeup whether or not anything happened. The
-//! [`Reactor`] replaces that with *shards* — one event-loop thread each —
-//! multiplexing every node's socket through one epoll instance per shard:
+//! A thread per node stops scaling around a few hundred nodes per
+//! process: each node costs a stack, a scheduler entry, and a poll wakeup
+//! whether or not anything happened. The [`Reactor`] runs *shards*
+//! instead — one event-loop thread each — multiplexing every node's
+//! socket through one epoll instance per shard:
 //!
 //! * **demux** — each node keeps its own UDP socket (nodes must be
 //!   individually addressable), but all of a shard's sockets register in
@@ -54,8 +54,8 @@ use wow_overlay::node::BrunetNode;
 use wow_overlay::uri::TransportUri;
 
 use crate::udprt::{
-    dispatch_events, from_sock, live_view, publish_snapshot, Backend, BufPool, LiveView,
-    NodeSnapshot, SocketTransport, UdpEvent, UdpNode, RECV_BATCH,
+    dispatch_events, from_sock, live_view, publish_snapshot, BufPool, LiveView, NodeSnapshot,
+    SocketTransport, UdpEvent, UdpNode, RECV_BATCH,
 };
 
 /// Most datagrams one node may consume per shard wake. A node with more
@@ -190,9 +190,8 @@ impl Reactor {
     }
 
     /// Bind a loopback socket (port 0 = ephemeral) and start a node on the
-    /// least-recently-used shard, joining via `bootstrap` URIs. The
-    /// returned handle is indistinguishable from a thread-backed
-    /// [`UdpNode`] except in cost.
+    /// least-recently-used shard, joining via `bootstrap` URIs (empty for
+    /// the first node).
     pub fn spawn_node(
         &self,
         addr: Address,
@@ -231,13 +230,11 @@ impl Reactor {
             local,
             events,
             snapshot,
-            backend: Backend::Reactor {
-                reactor: self.clone(),
-                id: NodeId {
-                    shard: shard as u16,
-                    slot,
-                    gen,
-                },
+            reactor: self.clone(),
+            id: NodeId {
+                shard: shard as u16,
+                slot,
+                gen,
             },
         })
     }
@@ -459,10 +456,8 @@ impl Shard {
             };
             slot.driver.timer_fired();
             let t = SimTime::from_micros(epoch.elapsed().as_micros() as u64);
-            if slot.driver.tick_due(t) {
-                let mut transport = SocketTransport::pooled(&slot.socket, pool);
-                slot.driver.on_tick(t, &mut transport);
-            }
+            let mut transport = SocketTransport::pooled(&slot.socket, pool);
+            slot.driver.on_tick(t, &mut transport);
             Self::settle(slot, timers, idx, t);
         }
     }

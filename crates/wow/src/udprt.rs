@@ -2,20 +2,15 @@
 //!
 //! Proof that the protocol kernel is not simulator-bound: [`UdpNode`] runs
 //! the shared [`NodeDriver`] over a `std::net` UDP socket, translating
-//! wall-clock time to the state machine's timestamps. Two backends exist
-//! behind the same handle:
+//! wall-clock time to the state machine's timestamps. A [`UdpNode`] is a
+//! handle onto one slot of a [`Reactor`]
+//! ([`crate::reactor::Reactor::spawn_node`]): many drivers multiplexed per
+//! shard thread over an epoll loop with deadline-armed timers and
+//! `recvmmsg(2)` batched ingress — one shard for a handful of nodes,
+//! several for thousands.
 //!
-//! * **thread-per-node** ([`UdpNode::spawn`]) — the original layout: one
-//!   background thread owning one socket, polling
-//!   [`NodeDriver::tick_due`] every read-timeout. Simple, and kept as the
-//!   behavioural reference the reactor is differentially tested against.
-//! * **reactor** ([`crate::reactor::Reactor::spawn_node`]) — many drivers
-//!   multiplexed per thread over an epoll loop with deadline-armed timers
-//!   and `recvmmsg(2)` batched ingress; the high-density runtime for
-//!   hundreds to thousands of nodes per process.
-//!
-//! Both paths share [`SocketTransport`]: batched egress through the Linux
-//! `UDP_SEGMENT` GSO / `sendmmsg(2)` fast paths (PR 3), and batched
+//! Every socket goes through [`SocketTransport`]: batched egress through
+//! the Linux `UDP_SEGMENT` GSO / `sendmmsg(2)` fast paths (PR 3), and batched
 //! ingress through `recvmmsg(2)` into a recycling [`BufPool`] — the kernel
 //! writes each datagram straight into the uniquely-owned `Bytes` the
 //! driver will consume, so the transit fast path can still patch the hop
@@ -29,20 +24,16 @@
 
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, UdpSocket};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use wow_netsim::addr::{PhysAddr, PhysIp};
-use wow_netsim::time::SimTime;
 use wow_overlay::addr::Address;
-use wow_overlay::config::OverlayConfig;
 use wow_overlay::conn::{ConnSnapshot, ConnType};
 use wow_overlay::driver::{FrameBatch, NodeDriver, NodeEvent, Transport};
-use wow_overlay::node::BrunetNode;
 use wow_overlay::telemetry::TelemetryCounters;
 use wow_overlay::uri::TransportUri;
 
@@ -76,19 +67,7 @@ pub enum UdpEvent {
     },
 }
 
-pub(crate) enum Cmd {
-    SendApp {
-        dst: Address,
-        proto: u8,
-        data: Bytes,
-    },
-    View {
-        reply: Sender<LiveView>,
-    },
-    Stop,
-}
-
-/// Shared snapshot readable without disturbing the node thread.
+/// Shared snapshot readable without disturbing the node's shard.
 #[derive(Clone, Debug, Default)]
 pub struct NodeSnapshot {
     /// Routable = at least one structured-near connection.
@@ -781,142 +760,36 @@ pub(crate) fn from_sock(addr: SocketAddr) -> PhysAddr {
 
 // ------------------------------------------------------------ the node --
 
-pub(crate) enum Backend {
-    /// One dedicated background thread owning the socket (the original
-    /// layout; kept as the reactor's behavioural reference).
-    Thread {
-        cmd_tx: Sender<Cmd>,
-        thread: Option<JoinHandle<()>>,
-    },
-    /// A slot on a shared [`Reactor`]: the handle holds a reactor clone so
-    /// the loop (and its threads) outlive every node spawned onto it —
-    /// the last handle out joins the reactor threads.
-    Reactor { reactor: Reactor, id: NodeId },
-}
-
-/// A Brunet node running over a real UDP socket — either on its own
-/// background thread ([`UdpNode::spawn`]) or multiplexed onto a shared
-/// [`Reactor`] ([`Reactor::spawn_node`]). The control surface is identical
-/// either way.
+/// A Brunet node running over a real UDP socket, multiplexed onto a shared
+/// [`Reactor`] ([`Reactor::spawn_node`]). The handle holds a reactor clone
+/// so the loop (and its threads) outlive every node spawned onto it — the
+/// last handle out joins the reactor threads.
 pub struct UdpNode {
     pub(crate) addr: Address,
     pub(crate) local: PhysAddr,
     pub(crate) events: Receiver<UdpEvent>,
     pub(crate) snapshot: Arc<Mutex<NodeSnapshot>>,
-    pub(crate) backend: Backend,
+    pub(crate) reactor: Reactor,
+    pub(crate) id: NodeId,
 }
 
 impl UdpNode {
-    /// Bind a loopback UDP socket (port 0 = ephemeral) and start the node
-    /// on its own background thread, joining via `bootstrap` URIs (empty
-    /// for the first node).
-    pub fn spawn(
-        addr: Address,
-        cfg: OverlayConfig,
-        bind_port: u16,
-        bootstrap: Vec<TransportUri>,
-        seed: u64,
-    ) -> std::io::Result<UdpNode> {
-        let socket = UdpSocket::bind(("127.0.0.1", bind_port))?;
-        let local = from_sock(socket.local_addr()?);
-        socket.set_read_timeout(Some(Duration::from_millis(20)))?;
-        let (cmd_tx, cmd_rx) = unbounded::<Cmd>();
-        let (ev_tx, events) = unbounded::<UdpEvent>();
-        let snapshot = Arc::new(Mutex::new(NodeSnapshot::default()));
-        let snap = snapshot.clone();
-
-        let thread = std::thread::Builder::new()
-            .name(format!("udp-node-{}", addr.short()))
-            .spawn(move || {
-                let epoch = Instant::now();
-                let now = |e: Instant| SimTime::from_micros(e.elapsed().as_micros() as u64);
-                let mut driver = NodeDriver::new(BrunetNode::new(addr, cfg, seed));
-                let mut pool = BufPool::default();
-                let mut ingress: Vec<(PhysAddr, Bytes)> = Vec::new();
-                {
-                    let mut transport = SocketTransport::pooled(&socket, &mut pool);
-                    driver.start(
-                        now(epoch),
-                        TransportUri::udp(local),
-                        bootstrap,
-                        &mut transport,
-                    );
-                }
-                'main: loop {
-                    let mut transport = SocketTransport::pooled(&socket, &mut pool);
-                    // Commands.
-                    while let Ok(cmd) = cmd_rx.try_recv() {
-                        match cmd {
-                            Cmd::SendApp { dst, proto, data } => {
-                                driver.send_app(now(epoch), dst, proto, data, &mut transport);
-                            }
-                            Cmd::View { reply } => {
-                                let _ = reply.send(live_view(&driver, local));
-                            }
-                            Cmd::Stop => break 'main,
-                        }
-                    }
-                    // Socket: one batched ingress sweep, blocking up to the
-                    // read timeout for the first datagram. Each datagram is
-                    // a uniquely-owned pooled Bytes, which is what lets the
-                    // node's transit fast path patch the hop count in place
-                    // and forward the same allocation without a copy.
-                    match transport.recv_batch(&mut ingress, RECV_BATCH, true) {
-                        Ok(_) => {
-                            for (src, frame) in ingress.drain(..) {
-                                driver.on_datagram(now(epoch), src, frame, &mut transport);
-                            }
-                        }
-                        Err(_) => break 'main,
-                    }
-                    // Timers: due-gated polling — this wall-clock loop wakes
-                    // at least every read-timeout, so ticking when the next
-                    // deadline has passed is enough.
-                    let t = now(epoch);
-                    if driver.tick_due(t) {
-                        driver.on_tick(t, &mut transport);
-                    }
-                    // Dispatch buffered events (frames already went out
-                    // through the transport above).
-                    dispatch_events(&mut driver, &ev_tx);
-                    // Publish a snapshot.
-                    publish_snapshot(&driver, &snap);
-                }
-            })?;
-
-        Ok(UdpNode {
-            addr,
-            local,
-            events,
-            snapshot,
-            backend: Backend::Thread {
-                cmd_tx,
-                thread: Some(thread),
-            },
-        })
-    }
-
     /// The node's overlay address.
     pub fn address(&self) -> Address {
         self.addr
     }
 
     /// The originally bound socket address, as a bootstrap URI for other
-    /// nodes. (A reactor-backed node that was [`UdpNode::rebind`]ed lives
-    /// at the address that call returned instead — exactly the stale-URI
-    /// situation the NAT-expiry resilience test exercises.)
+    /// nodes. (A node that was [`UdpNode::rebind`]ed lives at the address
+    /// that call returned instead — exactly the stale-URI situation the
+    /// NAT-expiry resilience test exercises.)
     pub fn uri(&self) -> TransportUri {
         TransportUri::udp(self.local)
     }
 
     /// Route an application payload.
     pub fn send_app(&self, dst: Address, proto: u8, data: Bytes) {
-        match &self.backend {
-            Backend::Thread { cmd_tx, .. } => {
-                let _ = cmd_tx.send(Cmd::SendApp { dst, proto, data });
-            }
-            Backend::Reactor { reactor, id } => reactor.send_app(*id, dst, proto, data),
-        }
+        self.reactor.send_app(self.id, dst, proto, data);
     }
 
     /// The event channel.
@@ -933,29 +806,16 @@ impl UdpNode {
     /// counters), answered by the node's runtime between event cycles.
     /// `None` once the runtime is gone.
     pub fn view(&self) -> Option<LiveView> {
-        match &self.backend {
-            Backend::Thread { cmd_tx, .. } => {
-                let (reply, rx) = unbounded();
-                cmd_tx.send(Cmd::View { reply }).ok()?;
-                rx.recv().ok()
-            }
-            Backend::Reactor { reactor, id } => reactor.view(*id),
-        }
+        self.reactor.view(self.id)
     }
 
     /// Move the node's socket to a fresh ephemeral port *without telling
     /// the node* — the live analogue of a NAT mapping expiry: peers keep
     /// sending to the dead port while the node's advertised URI goes
     /// stale, until stabilization's observed-address echo re-teaches it.
-    /// Returns the new underlay address. Reactor-backed nodes only.
+    /// Returns the new underlay address.
     pub fn rebind(&self) -> std::io::Result<PhysAddr> {
-        match &self.backend {
-            Backend::Thread { .. } => Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "rebind is only supported on reactor-backed nodes",
-            )),
-            Backend::Reactor { reactor, id } => reactor.rebind(*id),
-        }
+        self.reactor.rebind(self.id)
     }
 
     /// Block until the node is routable or the timeout expires.
@@ -970,10 +830,9 @@ impl UdpNode {
         false
     }
 
-    /// Stop the node. Thread-backed: joins the node thread. Reactor-backed:
-    /// deregisters this node's slot and socket from the shared loop, which
-    /// keeps running for every other node (the reactor threads themselves
-    /// are joined when the last handle onto the reactor drops).
+    /// Stop the node: deregisters its slot and socket from the shared loop,
+    /// which keeps running for every other node (the reactor threads
+    /// themselves are joined when the last handle onto the reactor drops).
     pub fn shutdown(self) {
         drop(self);
     }
@@ -981,15 +840,7 @@ impl UdpNode {
 
 impl Drop for UdpNode {
     fn drop(&mut self) {
-        match &mut self.backend {
-            Backend::Thread { cmd_tx, thread } => {
-                let _ = cmd_tx.send(Cmd::Stop);
-                if let Some(t) = thread.take() {
-                    let _ = t.join();
-                }
-            }
-            Backend::Reactor { reactor, id } => reactor.deregister(*id),
-        }
+        self.reactor.deregister(self.id);
     }
 }
 
@@ -998,6 +849,8 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use wow_overlay::config::OverlayConfig;
+    use wow_overlay::node::BrunetNode;
     use wow_overlay::telemetry::Counter;
 
     /// A frame no UDP socket can send: over the 65,507-byte datagram
@@ -1100,36 +953,24 @@ mod tests {
 
     #[test]
     fn send_failures_land_in_telemetry_through_the_batch_path() {
-        let run = |batching: bool| {
-            let (send, _recv, dst) = pair();
-            let mut driver = NodeDriver::new(BrunetNode::new(
-                Address([0x11; 20]),
-                OverlayConfig::default(),
-                1,
-            ));
-            driver.set_batching(batching);
-            let mut transport = SocketTransport::new(&send);
-            driver.with_sink(&mut transport, |_node, sink| {
-                use wow_overlay::driver::NodeSink;
-                sink.send(dst, Bytes::from_static(b"fits"));
-                sink.send(dst, unsendable());
-                sink.send(dst, Bytes::from_static(b"also fits"));
-            });
-            *driver.counters()
-        };
-
-        let batched = run(true);
-        assert_eq!(batched.get(Counter::SendFailed), 1);
-        assert_eq!(batched.get(Counter::BatchFlushes), 1);
-        assert_eq!(batched.get(Counter::BatchFrames), 3);
-        assert_eq!(batched.get(Counter::BatchSize3To4), 1);
-
-        // The per-frame path counts the same failure; only the batch
-        // bookkeeping differs.
-        let unbatched = run(false);
-        assert_eq!(unbatched.get(Counter::SendFailed), 1);
-        assert_eq!(unbatched.get(Counter::BatchFlushes), 0);
-        assert_eq!(unbatched.get(Counter::BatchFrames), 0);
+        let (send, _recv, dst) = pair();
+        let mut driver = NodeDriver::new(BrunetNode::new(
+            Address([0x11; 20]),
+            OverlayConfig::default(),
+            1,
+        ));
+        let mut transport = SocketTransport::new(&send);
+        driver.with_sink(&mut transport, |_node, sink| {
+            use wow_overlay::driver::NodeSink;
+            sink.send(dst, Bytes::from_static(b"fits"));
+            sink.send(dst, unsendable());
+            sink.send(dst, Bytes::from_static(b"also fits"));
+        });
+        let counters = driver.counters();
+        assert_eq!(counters.get(Counter::SendFailed), 1);
+        assert_eq!(counters.get(Counter::BatchFlushes), 1);
+        assert_eq!(counters.get(Counter::BatchFrames), 3);
+        assert_eq!(counters.get(Counter::BatchSize3To4), 1);
     }
 
     #[test]
@@ -1226,20 +1067,23 @@ mod tests {
     #[test]
     fn loopback_ring_forms_and_routes() {
         let mut rng = SmallRng::seed_from_u64(42);
-        let first = UdpNode::spawn(Address::random(&mut rng), quick(), 0, Vec::new(), 1)
+        let reactor = Reactor::new(1).expect("start reactor");
+        let first = reactor
+            .spawn_node(Address::random(&mut rng), quick(), 0, Vec::new(), 1)
             .expect("bind first node");
         let bootstrap = vec![first.uri()];
         let mut others = Vec::new();
         for i in 0..3 {
             others.push(
-                UdpNode::spawn(
-                    Address::random(&mut rng),
-                    quick(),
-                    0,
-                    bootstrap.clone(),
-                    2 + i,
-                )
-                .expect("bind node"),
+                reactor
+                    .spawn_node(
+                        Address::random(&mut rng),
+                        quick(),
+                        0,
+                        bootstrap.clone(),
+                        2 + i,
+                    )
+                    .expect("bind node"),
             );
         }
         for (i, n) in others.iter().enumerate() {
@@ -1248,8 +1092,13 @@ mod tests {
                 "node {i} did not become routable over real UDP"
             );
         }
-        // Route a payload from the last node to the first.
+        // The deep view is answered by the shard between event cycles.
         let last = others.last().expect("nonempty");
+        let view = last.view().expect("live node answers");
+        assert_eq!(view.conns.addr, last.address());
+        assert!(!view.conns.table.is_empty(), "routable implies connections");
+        assert!(view.uris.contains(&last.uri()));
+        // Route a payload from the last node to the first.
         last.send_app(first.address(), 9, Bytes::from_static(b"over real sockets"));
         let deadline = Instant::now() + Duration::from_secs(10);
         let mut delivered = false;
@@ -1267,22 +1116,6 @@ mod tests {
         for n in others {
             n.shutdown();
         }
-        first.shutdown();
-    }
-
-    #[test]
-    fn thread_backed_view_answers_with_conns_and_uris() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let first = UdpNode::spawn(Address::random(&mut rng), quick(), 0, Vec::new(), 1)
-            .expect("bind first node");
-        let second = UdpNode::spawn(Address::random(&mut rng), quick(), 0, vec![first.uri()], 2)
-            .expect("bind second node");
-        assert!(second.wait_routable(Duration::from_secs(10)));
-        let view = second.view().expect("live node answers");
-        assert_eq!(view.conns.addr, second.address());
-        assert!(!view.conns.table.is_empty(), "routable implies connections");
-        assert!(view.uris.contains(&second.uri()));
-        second.shutdown();
         first.shutdown();
     }
 }

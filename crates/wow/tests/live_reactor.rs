@@ -4,8 +4,8 @@
 //! expiry; these tests prove the *reactor* — epoll multiplexing, batched
 //! ingress, deadline-armed timers, per-node shutdown — preserves that
 //! behaviour over real UDP sockets on loopback, with the structural ring
-//! auditor as the oracle. A differential test pins the reactor against
-//! the thread-per-node runtime on an identical scripted scenario.
+//! auditor as the oracle. A differential test holds a scripted scenario's
+//! outcome independent of how many shards the nodes are spread over.
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
@@ -420,22 +420,28 @@ where
 }
 
 #[test]
-fn reactor_and_thread_runtimes_agree_on_a_scripted_ring() {
+fn shard_count_does_not_change_a_scripted_ring() {
     // Same addresses (seeded rng inside grow_ring), same config, same
-    // script; only the runtime differs. Wall-clock scheduling is free to
-    // differ, so the comparison is over what converged and what was
-    // delivered — not over packet interleavings.
-    let threads = run_scenario(|addr, boot, seed| {
-        UdpNode::spawn(addr, quick(), 0, boot, seed).expect("spawn thread node")
-    });
-    let reactor = Reactor::new(2).expect("start reactor");
-    let reacted = run_scenario(|addr, boot, seed| {
-        reactor
-            .spawn_node(addr, quick(), 0, boot, seed)
-            .expect("spawn reactor node")
+    // script; only the sharding differs — every node on one event loop, or
+    // spread over two with cross-thread traffic between neighbours.
+    // Wall-clock scheduling is free to differ, so the comparison is over
+    // what converged and what was delivered — not over packet
+    // interleavings.
+    let [one, two] = [1, 2].map(|shards| {
+        let reactor = Reactor::new(shards).expect("start reactor");
+        run_scenario(|addr, boot, seed| {
+            reactor
+                .spawn_node(addr, quick(), 0, boot, seed)
+                .expect("spawn reactor node")
+        })
     });
     assert_eq!(
-        threads, reacted,
-        "reactor and thread-per-node runtimes converged to different rings or deliveries"
+        one.delivered.len(),
+        4,
+        "every node must receive its message"
+    );
+    assert_eq!(
+        one, two,
+        "one-shard and two-shard reactors converged to different rings or deliveries"
     );
 }

@@ -10,7 +10,8 @@ use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use wow::udprt::{UdpEvent, UdpNode};
+use wow::reactor::Reactor;
+use wow::udprt::UdpEvent;
 use wow_netsim::time::SimDuration;
 use wow_overlay::addr::Address;
 use wow_overlay::config::OverlayConfig;
@@ -24,7 +25,9 @@ fn main() {
         ..OverlayConfig::default()
     };
     let mut rng = SmallRng::seed_from_u64(0xCAFE);
-    let first = UdpNode::spawn(Address::random(&mut rng), quick.clone(), 0, Vec::new(), 1)
+    let reactor = Reactor::new(1).expect("start reactor");
+    let first = reactor
+        .spawn_node(Address::random(&mut rng), quick.clone(), 0, Vec::new(), 1)
         .expect("bind first node");
     println!(
         "bootstrap node {} at {}",
@@ -34,14 +37,15 @@ fn main() {
     let bootstrap = vec![first.uri()];
     let mut nodes = Vec::new();
     for i in 0..5u64 {
-        let n = UdpNode::spawn(
-            Address::random(&mut rng),
-            quick.clone(),
-            0,
-            bootstrap.clone(),
-            2 + i,
-        )
-        .expect("bind node");
+        let n = reactor
+            .spawn_node(
+                Address::random(&mut rng),
+                quick.clone(),
+                0,
+                bootstrap.clone(),
+                2 + i,
+            )
+            .expect("bind node");
         println!("node {} joining from {}", n.address().short(), n.uri());
         nodes.push(n);
     }
