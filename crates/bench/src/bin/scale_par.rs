@@ -4,16 +4,18 @@
 //!
 //! Modes:
 //!
-//! * default — n = 10 000, workers {1, 4}
-//! * `--full` — n ∈ {10 000, 100 000}, workers {1, 4} (the committed
+//! * default — n = 10 000, workers {1, 2} (the committed
 //!   `results/scale_par.csv`)
+//! * `--full` — n ∈ {10 000, 100 000}, workers {1, 2}
 //! * `--smoke` — n = 2 000, workers {1, 2, 4, 8}: the CI leg; small enough
 //!   for every push, still crossing the pool-dispatch threshold
 //! * `--n <size>` / `--workers <a,b,...>` — explicit sweep
 //!
 //! The seed can be swept via `WOW_SCALE_SEED` (CI runs a matrix). For each
 //! size, every worker count's artifact digest is compared against the
-//! workers = 1 reference; any divergence aborts with a nonzero exit.
+//! first one's (workers = 1 unless `--workers` reorders the sweep), and the
+//! speedup column is relative to it; any divergence aborts with a nonzero
+//! exit.
 //! Writes `results/scale_par.csv`.
 
 use wow_bench::report::{banner, r1, r2, write_csv, Table};
@@ -22,7 +24,7 @@ use wow_bench::scale::{self, ScaleConfig};
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let (sizes, workers): (Vec<usize>, Vec<usize>) = if args.iter().any(|a| a == "--full") {
-        (vec![10_000, 100_000], vec![1, 4])
+        (vec![10_000, 100_000], vec![1, 2])
     } else if args.iter().any(|a| a == "--smoke") {
         (vec![2_000], vec![1, 2, 4, 8])
     } else {
@@ -40,7 +42,7 @@ fn main() {
                 .split(',')
                 .map(|w| w.trim().parse().expect("worker counts are integers"))
                 .collect(),
-            None => vec![1, 4],
+            None => vec![1, 2],
         };
         (sizes, workers)
     };

@@ -25,11 +25,18 @@
 //!
 //! **Phase A (parallel):** each lane executes its batch items in `(at, seq)`
 //! order, interleaved with in-window same-host children (wake-ups and
-//! downlink deliveries it spawned) via a sorted cursor + child heap. Actor
-//! callbacks run against a [`LaneCtx`] — host-local columns are touched
-//! directly (they are owned by the shard for the window); sends and
-//! out-of-window schedules append to an effect log. One [`LaneRecord`] is
-//! emitted per executed item.
+//! downlink deliveries it spawned) via a sorted cursor + child heap. Lanes
+//! and the sequential loop run the *same* host-local rules — actor dispatch,
+//! port binding, downlink queueing, the delivery check, CPU queueing — on
+//! the same per-host handle ([`HostMut`] / [`HostRef`]); a lane only builds
+//! that handle differently, from the columns its shard owns for the window
+//! ([`LaneCtx::host_mut`]). What does differ is recorded: sends and
+//! out-of-window schedules append to an effect log, and one [`LaneRecord`]
+//! is emitted per executed item.
+//!
+//! `unsafe` is confined to reaching those columns: the two handle
+//! constructors, the actor slot in [`LaneCtx::dispatch`], and the `Send`
+//! impl that moves a lane to a pool worker.
 //!
 //! **Phase B (sequential):** a k-way merge of the lane record streams plus
 //! the coordinator stream (NAT ingress events, which touch shared NAT state)
@@ -69,15 +76,13 @@ use std::collections::BinaryHeap;
 
 use bytes::Bytes;
 
-use crate::addr::{PhysAddr, PhysIp};
-use crate::link::serialization_delay;
+use crate::addr::PhysAddr;
 use crate::sim::{
-    Actor, ActorId, ActorSlot, ControlFn, Ctx, CtxInner, Datagram, DropReason, Ev, NetStats, Sim,
-    UDP_IP_OVERHEAD,
+    Actor, ActorId, ActorSlot, ControlFn, Ctx, CtxInner, Datagram, Ev, NetStats, Sim,
 };
-use crate::storage::{port_slot_get, port_slot_insert, port_slot_remove, PortSlot};
-use crate::time::{SimDuration, SimTime};
-use crate::topology::{DomainId, HostId, HostSpec, ShardMap};
+use crate::storage::PortSlot;
+use crate::time::SimTime;
+use crate::topology::{DomainId, HostId, HostInfo, HostMut, HostRef, ShardMap};
 
 /// Below this many batch events the window executes inline on the caller —
 /// the pool's wake/park round trip costs more than the work. Inline and
@@ -88,74 +93,53 @@ const INLINE_BATCH: usize = 64;
 /// Raw pointers to the world columns a lane may touch during Phase A.
 ///
 /// Captured once per window from `&mut World` + the actor table, then copied
-/// into every lane. All pointers index by host id (or actor id for
-/// `actors`); a lane only dereferences indices whose host maps to its shard,
-/// so concurrent lanes touch disjoint elements.
+/// into every lane. `info` is read-only for the window and shared by all
+/// lanes; the other pointers index by host id (or actor id for `actors`),
+/// and a lane only dereferences indices whose host maps to its shard, so
+/// concurrent lanes write disjoint elements.
 #[derive(Clone, Copy)]
 pub(crate) struct WorldCols {
-    up: *mut bool,
-    ips: *const PhysIp,
-    load_factors: *const f64,
-    cpu_speeds: *const f64,
-    uplink_bps: *const f64,
-    downlink_bps: *const f64,
+    info: *const HostInfo,
     downlink_free_at: *mut SimTime,
     cpu_free_at: *mut SimTime,
     next_ephemeral: *mut u16,
     ports: *mut PortSlot,
     actors: *mut ActorSlot,
-    names: *const crate::storage::NameTable,
     n_hosts: u32,
     n_actors: u32,
 }
 
 impl WorldCols {
-    /// Dangling placeholder used before the first window attaches real
-    /// pointers. Never dereferenced: `n_hosts == 0` and lanes only run with
-    /// freshly captured columns.
-    fn unset() -> Self {
-        WorldCols {
-            up: std::ptr::null_mut(),
-            ips: std::ptr::null(),
-            load_factors: std::ptr::null(),
-            cpu_speeds: std::ptr::null(),
-            uplink_bps: std::ptr::null(),
-            downlink_bps: std::ptr::null(),
-            downlink_free_at: std::ptr::null_mut(),
-            cpu_free_at: std::ptr::null_mut(),
-            next_ephemeral: std::ptr::null_mut(),
-            ports: std::ptr::null_mut(),
-            actors: std::ptr::null_mut(),
-            names: std::ptr::null(),
-            n_hosts: 0,
-            n_actors: 0,
-        }
-    }
-
     /// Capture column pointers for one window. Takes the world and actor
     /// table mutably so the borrow checker guarantees no other access exists
-    /// at capture time; the caller must not touch either again until every
-    /// lane has finished the window.
+    /// at capture time; until every lane has finished the window the caller
+    /// only pops the queue and reads actor hosts, and never grows either
+    /// table.
     fn capture(world: &mut crate::sim::World, actors: &mut Vec<ActorSlot>) -> Self {
         let n_hosts = world.hosts.len();
         world.ports.ensure_hosts(n_hosts);
         let hosts = &mut world.hosts;
         WorldCols {
-            up: hosts.up.as_mut_ptr(),
-            ips: hosts.ips.as_ptr(),
-            load_factors: hosts.load_factors.as_ptr(),
-            cpu_speeds: hosts.cpu_speeds.as_ptr(),
-            uplink_bps: hosts.uplink_bps.as_ptr(),
-            downlink_bps: hosts.downlink_bps.as_ptr(),
+            info: &hosts.info,
             downlink_free_at: hosts.downlink_free_at.as_mut_ptr(),
             cpu_free_at: hosts.cpu_free_at.as_mut_ptr(),
             next_ephemeral: hosts.next_ephemeral.as_mut_ptr(),
-            names: &hosts.names as *const _,
             ports: world.ports.raw_slots(),
             actors: actors.as_mut_ptr(),
             n_hosts: n_hosts as u32,
             n_actors: actors.len() as u32,
         }
+    }
+
+    /// Host `i`'s read-only columns. The caller has checked (`LaneCtx::idx`)
+    /// that `i` is in range and belongs to its lane's shard.
+    fn host(&self, i: usize) -> HostRef<'_> {
+        // SAFETY: `info` was captured from `&mut World` for the current
+        // window. Nobody writes those columns while lanes run (power, load
+        // and link rates change only in controls, at barriers), so a shared
+        // reference is sound even while other lanes read their own hosts;
+        // the columns lanes write live outside `HostInfo`.
+        unsafe { (*self.info).host(HostId(i as u32)) }
     }
 }
 
@@ -177,18 +161,13 @@ pub(crate) enum LaneBody {
 }
 
 /// An in-window child spawned by a lane: a same-host wake or a downlink
-/// delivery whose ready time still falls inside the window.
+/// delivery (`ActorDeliver`) whose ready time still falls inside the window.
 struct ChildItem {
     at: u64,
     /// Lane-local allocation order; equals resolved global seq order within
     /// the lane (see module docs), so `(at, gen)` is the execution key.
     gen: u32,
-    body: ChildBody,
-}
-
-enum ChildBody {
-    Wake { actor: ActorId, tag: u64 },
-    Deliver { host: HostId, dgram: Datagram },
+    body: LaneBody,
 }
 
 impl PartialEq for ChildItem {
@@ -278,17 +257,19 @@ pub(crate) struct LaneCtx {
 }
 
 // SAFETY: a LaneCtx is moved to a pool worker for the duration of one
-// window's Phase A. The raw pointers target World/actor columns; every
-// dereference is bounds-checked in debug and shard-checked (host % shards ==
-// shard), lanes of one window have disjoint shards, and the coordinator does
-// not touch the world while lanes run. Between windows the pointers are
-// stale and unused.
+// window's Phase A. The raw pointers target World/actor columns and are
+// dereferenced in exactly two places — the host handle (`WorldCols::host`,
+// `LaneCtx::host_mut`) and the actor slot in `LaneCtx::dispatch` — each
+// on an id in range and in the lane's shard (debug-asserted). Lanes of
+// one window have disjoint shards, and the coordinator does not touch the
+// world while lanes run. Between windows the pointers are stale and unused.
+// Every other field is owned data that is itself `Send`.
 unsafe impl Send for LaneCtx {}
 
 impl LaneCtx {
-    fn new(shard: u32, shards: u32) -> Self {
+    fn new(shard: u32, shards: u32, cols: WorldCols) -> Self {
         LaneCtx {
-            cols: WorldCols::unset(),
+            cols,
             shard,
             shards,
             window_end: 0,
@@ -303,8 +284,10 @@ impl LaneCtx {
         }
     }
 
-    /// Shard-ownership check plus index conversion: every column access
-    /// funnels through here.
+    /// Range and shard-ownership check plus index conversion: every column
+    /// access funnels through here. Both hold by construction — a lane sees
+    /// only its shard's items, whose hosts the world created or
+    /// `Sim::add_actor_at` / `move_actor` checked — and are debug-asserted.
     #[inline]
     fn idx(&self, host: HostId) -> usize {
         debug_assert!(host.0 < self.cols.n_hosts, "host out of range");
@@ -338,25 +321,25 @@ impl LaneCtx {
                 (None, Some(_)) => false,
                 (None, None) => break,
             };
-            if next_is_batch {
+            let (at, body) = if next_is_batch {
                 let item = self.input.pop().expect("checked non-empty");
                 self.begin_record(item.at, SeqKey::Resolved(item.seq));
-                match item.body {
-                    LaneBody::Start(id) => self.dispatch(item.at, id, |a, ctx| a.on_start(ctx)),
-                    LaneBody::Wake { actor, tag } => {
-                        self.dispatch(item.at, actor, |a, ctx| a.on_wake(ctx, tag))
-                    }
-                    LaneBody::HostArrive { host, dgram } => self.host_arrive(item.at, host, dgram),
-                    LaneBody::ActorDeliver { host, dgram } => self.deliver(item.at, host, dgram),
-                }
+                (item.at, item.body)
             } else {
                 let Reverse(child) = self.children.pop().expect("checked non-empty");
                 self.begin_record(child.at, SeqKey::Child(child.gen));
-                match child.body {
-                    ChildBody::Wake { actor, tag } => {
-                        self.dispatch(child.at, actor, |a, ctx| a.on_wake(ctx, tag))
+                (child.at, child.body)
+            };
+            match body {
+                LaneBody::Start(id) => self.dispatch(at, id, |a, ctx| a.on_start(ctx)),
+                LaneBody::Wake { actor, tag } => {
+                    self.dispatch(at, actor, |a, ctx| a.on_wake(ctx, tag))
+                }
+                LaneBody::HostArrive { host, dgram } => self.host_arrive(at, host, dgram),
+                LaneBody::ActorDeliver { host, dgram } => {
+                    if let Some(actor) = self.host_mut(host).deliver_to(dgram.dst.port) {
+                        self.dispatch(at, actor, |a, ctx| a.on_datagram(ctx, dgram));
                     }
-                    ChildBody::Deliver { host, dgram } => self.deliver(child.at, host, dgram),
                 }
             }
             self.events += 1;
@@ -385,7 +368,7 @@ impl LaneCtx {
         rec.host = host;
     }
 
-    fn spawn_child(&mut self, at: u64, body: ChildBody) {
+    fn spawn_child(&mut self, at: u64, body: LaneBody) {
         debug_assert!(at < self.window_end);
         let gen = self.next_gen;
         self.next_gen += 1;
@@ -393,136 +376,70 @@ impl LaneCtx {
         self.push_effect(Effect::ChildSeq { gen });
     }
 
-    /// Mirror of `Sim::dispatch` against lane-owned state.
+    /// Run one actor callback in this lane: the shared dispatch rule
+    /// ([`ActorSlot::dispatch`]) with a lane-backed context.
     fn dispatch(&mut self, at: u64, id: ActorId, call: impl FnOnce(&mut dyn Actor, &mut Ctx<'_>)) {
         debug_assert!(id.0 < self.cols.n_actors, "actor out of range");
-        // SAFETY: actor slots partition by host shard (an actor's host only
-        // changes at barriers), so this lane is the sole accessor.
+        // SAFETY: `id` names an existing actor (events carry ids the actor
+        // table issued; the pop loop indexed it safely), and actor slots
+        // partition by host shard (an actor's host only changes at
+        // barriers, and its events go to its host's lane), so this lane is
+        // the slot's sole accessor for the window.
         let slot = unsafe { &mut *self.cols.actors.add(id.0 as usize) };
-        if !slot.alive {
-            return;
-        }
-        let Some(mut actor) = slot.actor.take() else {
-            return; // re-entrant dispatch (not expected); drop the event
-        };
-        let host = slot.host;
-        let _ = self.idx(host);
-        self.cur_host = host;
-        let mut ctx = Ctx {
-            now: SimTime::from_micros(at),
-            actor: id,
-            host,
-            inner: CtxInner::Lane(self),
-            stop_requested: false,
-        };
-        call(actor.as_mut(), &mut ctx);
-        let stop = ctx.stop_requested;
-        slot.actor = Some(actor);
-        if stop {
-            slot.alive = false;
-            // SAFETY: the actor's own host — this shard's port slot.
-            let pslot = unsafe { &mut *self.cols.ports.add(host.0 as usize) };
-            pslot.retain(|&(_, a)| a != id);
-        }
+        let _ = self.idx(slot.host);
+        self.cur_host = slot.host;
+        slot.dispatch(id, SimTime::from_micros(at), CtxInner::Lane(self), call);
     }
 
-    /// Mirror of `World::host_arrive`: downlink queueing on this lane's own
-    /// host, the resulting delivery either chained in-window or deferred.
+    /// Arrival at one of this lane's hosts: the shared edge rule, with the
+    /// ready delivery chained in-window or deferred to the barrier.
     fn host_arrive(&mut self, at: u64, host: HostId, dgram: Datagram) {
-        let i = self.idx(host);
         self.cur_host = host;
-        let size = dgram.payload.len() + UDP_IP_OVERHEAD;
-        // SAFETY: shard-owned host columns (idx() checked ownership).
-        unsafe {
-            if !*self.cols.up.add(i) {
-                self.stats.drop(DropReason::HostDown);
-                return;
-            }
-            let now = SimTime::from_micros(at);
-            let start = now.max(*self.cols.downlink_free_at.add(i));
-            let wait = start.saturating_since(now).as_micros();
-            if wait > 0 {
-                self.stats.downlink_queued += 1;
-                self.stats.downlink_queue_wait_us += wait;
-            }
-            let ready = start + serialization_delay(size, *self.cols.downlink_bps.add(i));
-            *self.cols.downlink_free_at.add(i) = ready;
-            let ready_us = ready.as_micros();
-            if ready_us < self.window_end {
-                self.spawn_child(ready_us, ChildBody::Deliver { host, dgram });
-            } else {
-                self.push_effect(Effect::DeliverOut {
-                    at: ready_us,
-                    host,
-                    dgram,
-                });
-            }
-        }
-    }
-
-    /// Mirror of the sequential `Ev::ActorDeliver` arm.
-    fn deliver(&mut self, at: u64, host: HostId, dgram: Datagram) {
-        let i = self.idx(host);
-        // SAFETY: shard-owned host columns.
-        if !unsafe { *self.cols.up.add(i) } {
-            // The packet cleared the downlink before the host went down.
-            self.stats.drop(DropReason::HostDown);
+        let now = SimTime::from_micros(at);
+        let Some(ready) = self.host_mut(host).arrive(now, dgram.payload.len()) else {
             return;
-        }
-        // SAFETY: shard-owned port slot.
-        let slot = unsafe { &*self.cols.ports.add(i) };
-        match port_slot_get(slot, dgram.dst.port) {
-            Some(actor) => {
-                self.stats.delivered += 1;
-                self.dispatch(at, actor, |a, ctx| a.on_datagram(ctx, dgram));
-            }
-            None => self.stats.drop(DropReason::PortUnbound),
+        };
+        let ready_us = ready.as_micros();
+        if ready_us < self.window_end {
+            self.spawn_child(ready_us, LaneBody::ActorDeliver { host, dgram });
+        } else {
+            self.push_effect(Effect::DeliverOut {
+                at: ready_us,
+                host,
+                dgram,
+            });
         }
     }
 
     // ---- Ctx backend surface (called from sim.rs's CtxInner::Lane arms) ----
 
-    pub(crate) fn bind(&mut self, host: HostId, port: u16, actor: ActorId) -> PhysAddr {
-        let i = self.idx(host);
-        // SAFETY: shard-owned port slot and ip column.
-        let slot = unsafe { &mut *self.cols.ports.add(i) };
-        let prev = port_slot_insert(slot, port, actor);
-        assert!(
-            prev.is_none() || prev == Some(actor),
-            "port {port} already bound on host {host:?}",
-        );
-        PhysAddr::new(unsafe { *self.cols.ips.add(i) }, port)
+    /// One of this shard's hosts, read-only.
+    pub(crate) fn host(&self, host: HostId) -> HostRef<'_> {
+        self.cols.host(self.idx(host))
     }
 
-    /// One step of the ephemeral-port scan: advance the counter, return the
-    /// candidate if free (`None` = taken, caller retries).
-    pub(crate) fn next_ephemeral(&mut self, host: HostId) -> Option<u16> {
+    /// One of this shard's hosts for a host-local rule: the lane's
+    /// constructor of the handle `World::host_mut` gives the sequential
+    /// core, counting into this lane's stats delta.
+    pub(crate) fn host_mut(&mut self, host: HostId) -> HostMut<'_> {
         let i = self.idx(host);
-        // SAFETY: shard-owned columns.
+        let LaneCtx { cols, stats, .. } = self;
+        // SAFETY: host `i` is in range and in this lane's shard (see `idx`,
+        // which debug-asserts both); hosts partition across the window's
+        // lanes and the coordinator leaves the world alone while lanes run,
+        // so element `i` of each mutable column and port slot `i` have no
+        // other accessor, and `&mut self` makes this the lane's only live
+        // handle.
         unsafe {
-            let port = *self.cols.next_ephemeral.add(i);
-            *self.cols.next_ephemeral.add(i) = port.checked_add(1).unwrap_or(49_152);
-            let slot = &*self.cols.ports.add(i);
-            if port_slot_get(slot, port).is_some() {
-                None
-            } else {
-                Some(port)
+            HostMut {
+                host: cols.host(i),
+                downlink_free_at: &mut *cols.downlink_free_at.add(i),
+                cpu_free_at: &mut *cols.cpu_free_at.add(i),
+                next_ephemeral: &mut *cols.next_ephemeral.add(i),
+                ports: &mut *cols.ports.add(i),
+                stats,
             }
         }
-    }
-
-    pub(crate) fn unbind(&mut self, host: HostId, port: u16) {
-        let i = self.idx(host);
-        // SAFETY: shard-owned port slot.
-        let slot = unsafe { &mut *self.cols.ports.add(i) };
-        port_slot_remove(slot, port);
-    }
-
-    pub(crate) fn port_owner(&self, host: HostId, port: u16) -> Option<ActorId> {
-        let i = self.idx(host);
-        // SAFETY: shard-owned port slot.
-        let slot = unsafe { &*self.cols.ports.add(i) };
-        port_slot_get(slot, port)
     }
 
     pub(crate) fn record_send(&mut self, src_port: u16, dst: PhysAddr, payload: Bytes) {
@@ -536,63 +453,10 @@ impl LaneCtx {
     pub(crate) fn record_wake(&mut self, at: SimTime, actor: ActorId, tag: u64) {
         let at = at.as_micros();
         if at < self.window_end {
-            self.spawn_child(at, ChildBody::Wake { actor, tag });
+            self.spawn_child(at, LaneBody::Wake { actor, tag });
         } else {
             self.push_effect(Effect::WakeOut { at, actor, tag });
         }
-    }
-
-    pub(crate) fn ip(&self, host: HostId) -> PhysIp {
-        let i = self.idx(host);
-        // SAFETY: shard-owned column.
-        unsafe { *self.cols.ips.add(i) }
-    }
-
-    pub(crate) fn cpu_acquire(
-        &mut self,
-        now: SimTime,
-        host: HostId,
-        nominal: SimDuration,
-    ) -> SimTime {
-        let i = self.idx(host);
-        // SAFETY: shard-owned columns.
-        unsafe {
-            let start = now.max(*self.cols.cpu_free_at.add(i));
-            let wait = start.saturating_since(now).as_micros();
-            if wait > 0 {
-                self.stats.cpu_queued += 1;
-                self.stats.cpu_queue_wait_us += wait;
-            }
-            let done = start + self.scaled_work(host, nominal);
-            *self.cols.cpu_free_at.add(i) = done;
-            done
-        }
-    }
-
-    pub(crate) fn scaled_work(&self, host: HostId, nominal: SimDuration) -> SimDuration {
-        let i = self.idx(host);
-        // SAFETY: shard-owned (read-only) columns.
-        unsafe { nominal.mul_f64(*self.cols.load_factors.add(i) / *self.cols.cpu_speeds.add(i)) }
-    }
-
-    pub(crate) fn host_spec(&self, host: HostId) -> HostSpec {
-        let i = self.idx(host);
-        // SAFETY: names is read-only for the whole window; numeric columns
-        // are shard-owned.
-        unsafe {
-            HostSpec {
-                name: (*self.cols.names).get(i).to_owned(),
-                cpu_speed: *self.cols.cpu_speeds.add(i),
-                uplink_bps: *self.cols.uplink_bps.add(i),
-                downlink_bps: *self.cols.downlink_bps.add(i),
-            }
-        }
-    }
-
-    pub(crate) fn cpu_speed(&self, host: HostId) -> f64 {
-        let i = self.idx(host);
-        // SAFETY: shard-owned (read-only) column.
-        unsafe { *self.cols.cpu_speeds.add(i) }
     }
 }
 
@@ -665,46 +529,14 @@ impl ParEngine {
 }
 
 impl Sim {
-    /// Process events through conservative lookahead windows until the queue
-    /// drains or the next event lies past `until_us` (pass `u64::MAX` for
-    /// quiescence). The caller owns any final clock clamp.
-    pub(crate) fn run_windowed(&mut self, until_us: u64) {
-        loop {
-            let Some((first_at, _)) = self.world.queue.peek_at() else {
-                return;
-            };
-            if first_at > until_us {
-                return;
-            }
-            let lookahead = self.world.links.min_base_latency().as_micros();
-            if lookahead == 0 {
-                // A zero-latency path leaves no window to parallelize over;
-                // degrade to the sequential core outright.
-                while let Some((at, _)) = self.world.queue.peek_at() {
-                    if at > until_us {
-                        return;
-                    }
-                    self.step();
-                }
-                return;
-            }
-            self.run_window(first_at, lookahead, until_us);
-        }
-    }
-
     /// Execute one window `[first_at, first_at + lookahead)` (clipped to the
     /// run bound and to the first control event).
-    fn run_window(&mut self, first_at: u64, lookahead: u64, until_us: u64) {
+    pub(crate) fn run_window(&mut self, first_at: u64, lookahead: u64, until_us: u64) {
         // Events at exactly `until_us` must run, so the cap is exclusive at
         // until + 1 (saturating: quiescence passes u64::MAX).
         let until_cap = until_us.saturating_add(1);
         let mut window_end = first_at.saturating_add(lookahead).min(until_cap);
         let workers = self.par.workers;
-        if self.par.lanes.len() != workers {
-            self.par.lanes = (0..workers)
-                .map(|s| LaneCtx::new(s as u32, workers as u32))
-                .collect();
-        }
         let shard = ShardMap::new(workers);
         let mut control: Option<(u64, ControlFn)> = None;
         // NAT ingress mutates shared NAT devices: coordinator stream,
@@ -717,6 +549,12 @@ impl Sim {
             events_processed,
             par,
         } = self;
+        let cols = WorldCols::capture(world, actors);
+        if par.lanes.len() != workers {
+            par.lanes = (0..workers)
+                .map(|s| LaneCtx::new(s as u32, workers as u32, cols))
+                .collect();
+        }
 
         // ---- Pop the batch -------------------------------------------------
         let mut batch_items = 0usize;
@@ -725,7 +563,7 @@ impl Sim {
                 break;
             }
             let (at, seq, ev) = world.queue.pop().expect("peeked non-empty");
-            match ev {
+            let (host, body) = match ev {
                 Ev::Control(f) => {
                     // The control runs arbitrary code against &mut Sim; end
                     // the window at its timestamp so it executes alone at
@@ -735,47 +573,25 @@ impl Sim {
                     control = Some((at, f));
                     break;
                 }
-                Ev::NatIngress { domain, dgram } => nat.push((at, seq, domain, dgram)),
-                Ev::Start(id) => {
-                    let host = actors[id.0 as usize].host;
-                    par.lanes[shard.shard_of(host)].input.push(LaneItem {
-                        at,
-                        seq,
-                        body: LaneBody::Start(id),
-                    });
-                    batch_items += 1;
+                Ev::NatIngress { domain, dgram } => {
+                    nat.push((at, seq, domain, dgram));
+                    continue;
                 }
+                Ev::Start(id) => (actors[id.0 as usize].host, LaneBody::Start(id)),
                 Ev::Wake { actor, tag } => {
-                    let host = actors[actor.0 as usize].host;
-                    par.lanes[shard.shard_of(host)].input.push(LaneItem {
-                        at,
-                        seq,
-                        body: LaneBody::Wake { actor, tag },
-                    });
-                    batch_items += 1;
+                    (actors[actor.0 as usize].host, LaneBody::Wake { actor, tag })
                 }
-                Ev::HostArrive { host, dgram } => {
-                    par.lanes[shard.shard_of(host)].input.push(LaneItem {
-                        at,
-                        seq,
-                        body: LaneBody::HostArrive { host, dgram },
-                    });
-                    batch_items += 1;
-                }
-                Ev::ActorDeliver { host, dgram } => {
-                    par.lanes[shard.shard_of(host)].input.push(LaneItem {
-                        at,
-                        seq,
-                        body: LaneBody::ActorDeliver { host, dgram },
-                    });
-                    batch_items += 1;
-                }
-            }
+                Ev::HostArrive { host, dgram } => (host, LaneBody::HostArrive { host, dgram }),
+                Ev::ActorDeliver { host, dgram } => (host, LaneBody::ActorDeliver { host, dgram }),
+            };
+            par.lanes[shard.shard_of(host)]
+                .input
+                .push(LaneItem { at, seq, body });
+            batch_items += 1;
         }
 
         // ---- Phase A: lanes execute ---------------------------------------
         if batch_items > 0 {
-            let cols = WorldCols::capture(world, actors);
             let active = par.lanes.iter().filter(|l| !l.input.is_empty()).count();
             for lane in par.lanes.iter_mut() {
                 lane.attach(cols, window_end);

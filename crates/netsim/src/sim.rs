@@ -29,9 +29,11 @@ use crate::fault::{norm_pair, FaultKind, FaultRecord, FaultState};
 use crate::link::{serialization_delay, LinkModel};
 use crate::nat::{Inbound, Nat, NatDrop};
 use crate::rng::SeedSplitter;
-use crate::storage::{DenseIpMap, PathFifo, PortTable, PrivateIpMap};
+use crate::storage::{port_slot_get, DenseIpMap, PathFifo, PortTable, PrivateIpMap};
 use crate::time::{SimDuration, SimTime};
-use crate::topology::{Domain, DomainId, DomainKind, DomainSpec, HostId, HostSpec, Hosts};
+use crate::topology::{
+    Domain, DomainId, DomainKind, DomainSpec, HostId, HostMut, HostRef, HostSpec, Hosts,
+};
 use crate::wheel::TimerWheel;
 
 /// Fixed per-datagram header overhead charged on links (IPv4 + UDP).
@@ -309,7 +311,7 @@ impl World {
 
     /// Power a host on or off. Packets to a down host are dropped.
     pub fn set_host_up(&mut self, id: HostId, up: bool) {
-        self.hosts.up[id.0 as usize] = up;
+        self.hosts.info.up[id.0 as usize] = up;
     }
 
     /// Reset a domain's NAT device (drop all mappings/permissions), as a
@@ -334,7 +336,7 @@ impl World {
                 // Port bindings are left in place so a still-running actor
                 // shell keeps its (now dead) socket identity — the clean
                 // slate happens at restart.
-                self.hosts.up[host.0 as usize] = false;
+                self.hosts.info.up[host.0 as usize] = false;
             }
             FaultKind::Restart { host } => {
                 let now = self.now;
@@ -344,7 +346,7 @@ impl World {
                 self.ports.clear_host(host);
                 self.hosts.reset_runtime(host, now);
                 let i = host.0 as usize;
-                let (domain, ip) = (self.hosts.domains[i], self.hosts.ips[i]);
+                let (domain, ip) = (self.hosts.domains[i], self.hosts.info.ips[i]);
                 // A restarted host must earn fresh NAT mappings; the old
                 // incarnation's public endpoints are dead.
                 if let Some(nat) = self.domains[domain.0 as usize].nat.as_mut() {
@@ -398,7 +400,7 @@ impl World {
     /// Set a host's background-load multiplier (≥ 1.0 slows CPU work).
     pub fn set_host_load(&mut self, id: HostId, load_factor: f64) {
         assert!(load_factor >= 1.0, "load factor below 1.0 is meaningless");
-        self.hosts.load_factors[id.0 as usize] = load_factor;
+        self.hosts.info.load_factors[id.0 as usize] = load_factor;
     }
 
     /// The public address a packet from `host` to `remote` would carry —
@@ -406,7 +408,7 @@ impl World {
     /// outbound packet would create/refresh. Read-only convenience used by
     /// tests; the overlay itself learns addresses from handshakes.
     pub fn host_ip(&self, id: HostId) -> PhysIp {
-        self.hosts.ips[id.0 as usize]
+        self.hosts.info.ips[id.0 as usize]
     }
 
     /// Clamp an arrival so the (src, dst) path delivers in FIFO order.
@@ -436,7 +438,7 @@ impl World {
         let size = payload.len() + UDP_IP_OVERHEAD;
         let (src_domain_id, src_ip, depart) = {
             let i = from_host.0 as usize;
-            if !self.hosts.up[i] {
+            if !self.hosts.info.up[i] {
                 // A powered-off host cannot transmit; count as host-down.
                 self.stats.drop(DropReason::HostDown);
                 return;
@@ -447,9 +449,9 @@ impl World {
                 self.stats.uplink_queued += 1;
                 self.stats.uplink_queue_wait_us += wait;
             }
-            let depart = start + serialization_delay(size, self.hosts.uplink_bps[i]);
+            let depart = start + serialization_delay(size, self.hosts.info.uplink_bps[i]);
             self.hosts.uplink_free_at[i] = depart;
-            (self.hosts.domains[i], self.hosts.ips[i], depart)
+            (self.hosts.domains[i], self.hosts.info.ips[i], depart)
         };
         let src_addr = PhysAddr::new(src_ip, src_port);
         let dgram = Datagram {
@@ -622,23 +624,11 @@ impl World {
         }
     }
 
-    /// Host edge on arrival: power check, downlink queueing.
-    fn host_arrive(&mut self, host: HostId, dgram: Datagram) {
-        let size = dgram.payload.len() + UDP_IP_OVERHEAD;
-        let i = host.0 as usize;
-        if !self.hosts.up[i] {
-            self.stats.drop(DropReason::HostDown);
-            return;
-        }
-        let start = self.now.max(self.hosts.downlink_free_at[i]);
-        let wait = start.saturating_since(self.now).as_micros();
-        if wait > 0 {
-            self.stats.downlink_queued += 1;
-            self.stats.downlink_queue_wait_us += wait;
-        }
-        let ready = start + serialization_delay(size, self.hosts.downlink_bps[i]);
-        self.hosts.downlink_free_at[i] = ready;
-        self.push(ready, Ev::ActorDeliver { host, dgram });
+    /// One host's state for a host-local rule ([`HostMut`]), borrowed
+    /// field-disjointly from the host columns, the port table and the stats.
+    pub(crate) fn host_mut(&mut self, id: HostId) -> HostMut<'_> {
+        self.hosts
+            .host_mut(id, self.ports.slot_mut(id), &mut self.stats)
     }
 }
 
@@ -646,11 +636,12 @@ impl World {
 ///
 /// Sequential execution hands actors the whole [`World`]. Under the windowed
 /// parallel engine (`crate::par`), a lane executes events for its shard of
-/// hosts with no `&mut World` in sight: host-local state is reached through
-/// per-column pointers and everything global (sends, out-of-window wakes)
-/// is recorded as an effect to be replayed at the window barrier. The two
-/// arms must behave identically for everything an actor can observe — the
-/// differential suite pins that.
+/// hosts with no `&mut World` in sight. Host-local operations do not care:
+/// both arms hand out the same per-host handle ([`HostRef`] / [`HostMut`],
+/// through `Ctx::here` / `Ctx::here_mut`) and run the same rules on it. The
+/// arms differ only where the semantics do — a send or a wake-up is applied
+/// to the world at once sequentially but recorded as an effect (or an
+/// in-window child) in a lane, and the world RNG is unavailable in a lane.
 pub(crate) enum CtxInner<'a> {
     World(&'a mut World),
     Lane(&'a mut crate::par::LaneCtx),
@@ -669,77 +660,47 @@ pub struct Ctx<'a> {
 }
 
 impl Ctx<'_> {
+    /// The running actor's host, read-only — the handle every `&self`
+    /// query goes through, whichever core runs the callback.
+    fn here(&self) -> HostRef<'_> {
+        match &self.inner {
+            CtxInner::World(world) => world.hosts.info.host(self.host),
+            CtxInner::Lane(lane) => lane.host(self.host),
+        }
+    }
+
+    /// The running actor's host for a host-local rule — the handle every
+    /// mutating host operation goes through, whichever core runs it.
+    fn here_mut(&mut self) -> HostMut<'_> {
+        match &mut self.inner {
+            CtxInner::World(world) => world.host_mut(self.host),
+            CtxInner::Lane(lane) => lane.host_mut(self.host),
+        }
+    }
+
     /// Bind a specific UDP-style port on this actor's host.
     ///
     /// # Panics
     /// Panics if the port is already bound on this host.
     pub fn bind(&mut self, port: u16) -> PhysAddr {
-        let (host, actor) = (self.host, self.actor);
-        match &mut self.inner {
-            CtxInner::World(world) => {
-                let prev = world.ports.insert(host, port, actor);
-                assert!(
-                    prev.is_none() || prev == Some(actor),
-                    "port {port} already bound on host {host:?}",
-                );
-                PhysAddr::new(world.hosts.ips[host.0 as usize], port)
-            }
-            CtxInner::Lane(lane) => lane.bind(host, port, actor),
-        }
+        let actor = self.actor;
+        self.here_mut().bind(port, actor)
     }
 
     /// Bind the next free ephemeral port on this actor's host.
     pub fn bind_ephemeral(&mut self) -> PhysAddr {
-        loop {
-            let i = self.host.0 as usize;
-            let port = match &mut self.inner {
-                CtxInner::World(world) => {
-                    let port = world.hosts.next_ephemeral[i];
-                    world.hosts.next_ephemeral[i] = port.checked_add(1).unwrap_or(49_152);
-                    if world.ports.contains(self.host, port) {
-                        continue;
-                    }
-                    port
-                }
-                CtxInner::Lane(lane) => match lane.next_ephemeral(self.host) {
-                    Some(port) => port,
-                    None => continue,
-                },
-            };
-            return self.bind(port);
-        }
+        let actor = self.actor;
+        self.here_mut().bind_ephemeral(actor)
     }
 
     /// Release a port binding.
     pub fn unbind(&mut self, port: u16) {
-        let host = self.host;
-        match &mut self.inner {
-            CtxInner::World(world) => world.ports.remove(host, port),
-            CtxInner::Lane(lane) => lane.unbind(host, port),
-        }
+        self.here_mut().unbind(port);
     }
 
     /// Send a datagram from a bound local port.
     pub fn send(&mut self, src_port: u16, dst: PhysAddr, payload: Bytes) {
-        let (now, host, actor) = (self.now, self.host, self.actor);
-        match &mut self.inner {
-            CtxInner::World(world) => {
-                debug_assert_eq!(
-                    world.ports.get(host, src_port),
-                    Some(actor),
-                    "sending from a port this actor has not bound"
-                );
-                world.send_from(now, host, src_port, dst, payload);
-            }
-            CtxInner::Lane(lane) => {
-                debug_assert_eq!(
-                    lane.port_owner(host, src_port),
-                    Some(actor),
-                    "sending from a port this actor has not bound"
-                );
-                lane.record_send(src_port, dst, payload);
-            }
-        }
+        self.send_batch(src_port, [(dst, payload)]);
     }
 
     /// Send a burst of datagrams from one bound local port, amortizing the
@@ -752,27 +713,16 @@ impl Ctx<'_> {
     where
         I: IntoIterator<Item = (PhysAddr, Bytes)>,
     {
-        let (now, host, actor) = (self.now, self.host, self.actor);
-        match &mut self.inner {
-            CtxInner::World(world) => {
-                debug_assert_eq!(
-                    world.ports.get(host, src_port),
-                    Some(actor),
-                    "sending from a port this actor has not bound"
-                );
-                for (dst, payload) in frames {
-                    world.send_from(now, host, src_port, dst, payload);
-                }
-            }
-            CtxInner::Lane(lane) => {
-                debug_assert_eq!(
-                    lane.port_owner(host, src_port),
-                    Some(actor),
-                    "sending from a port this actor has not bound"
-                );
-                for (dst, payload) in frames {
-                    lane.record_send(src_port, dst, payload);
-                }
+        debug_assert_eq!(
+            port_slot_get(self.here_mut().ports, src_port),
+            Some(self.actor),
+            "sending from a port this actor has not bound"
+        );
+        let (now, host) = (self.now, self.host);
+        for (dst, payload) in frames {
+            match &mut self.inner {
+                CtxInner::World(world) => world.send_from(now, host, src_port, dst, payload),
+                CtxInner::Lane(lane) => lane.record_send(src_port, dst, payload),
             }
         }
     }
@@ -810,32 +760,15 @@ impl Ctx<'_> {
 
     /// This actor's host address (private if behind a NAT).
     pub fn my_ip(&self) -> PhysIp {
-        match &self.inner {
-            CtxInner::World(world) => world.hosts.ips[self.host.0 as usize],
-            CtxInner::Lane(lane) => lane.ip(self.host),
-        }
+        self.here().ip
     }
 
     /// Occupy this host's CPU for `nominal` work (scaled by speed and
     /// background load), FIFO behind earlier work. Returns the completion
     /// time; pair with [`Ctx::wake_at`] to act on completion.
     pub fn cpu_acquire(&mut self, nominal: SimDuration) -> SimTime {
-        let (now, host) = (self.now, self.host);
-        match &mut self.inner {
-            CtxInner::World(world) => {
-                let i = host.0 as usize;
-                let start = now.max(world.hosts.cpu_free_at[i]);
-                let wait = start.saturating_since(now).as_micros();
-                if wait > 0 {
-                    world.stats.cpu_queued += 1;
-                    world.stats.cpu_queue_wait_us += wait;
-                }
-                let done = start + world.hosts.scaled_work(host, nominal);
-                world.hosts.cpu_free_at[i] = done;
-                done
-            }
-            CtxInner::Lane(lane) => lane.cpu_acquire(now, host, nominal),
-        }
+        let now = self.now;
+        self.here_mut().cpu_acquire(now, nominal)
     }
 
     /// Time-shared CPU work: the completion time for `nominal` work under
@@ -844,28 +777,18 @@ impl Ctx<'_> {
     /// batch job computes, so packet handling must not queue behind a
     /// 20-second job the way [`Ctx::cpu_acquire`]d work does.
     pub fn cpu_timeshared(&mut self, nominal: SimDuration) -> SimTime {
-        let (now, host) = (self.now, self.host);
-        match &self.inner {
-            CtxInner::World(world) => now + world.hosts.scaled_work(host, nominal),
-            CtxInner::Lane(lane) => now + lane.scaled_work(host, nominal),
-        }
+        self.now + self.here().scaled_work(nominal)
     }
 
     /// Static description of the host this actor runs on (reassembled;
     /// allocates the name).
     pub fn my_host_spec(&self) -> HostSpec {
-        match &self.inner {
-            CtxInner::World(world) => world.hosts.spec(self.host),
-            CtxInner::Lane(lane) => lane.host_spec(self.host),
-        }
+        self.here().spec()
     }
 
     /// Relative CPU speed of the host this actor runs on.
     pub fn my_cpu_speed(&self) -> f64 {
-        match &self.inner {
-            CtxInner::World(world) => world.hosts.cpu_speeds[self.host.0 as usize],
-            CtxInner::Lane(lane) => lane.cpu_speed(self.host),
-        }
+        self.here().cpu_speed
     }
 
     /// Ask the driver to stop this actor after the current callback:
@@ -877,11 +800,14 @@ impl Ctx<'_> {
 
 /// A protocol endpoint or application attached to a host.
 ///
-/// All callbacks receive a [`Ctx`] scoped to the event's time. Actors must
-/// be `'static` (they are owned by the simulator) and `Send` (the windowed
-/// parallel engine executes disjoint shards of hosts on a worker pool; an
-/// actor is still never called concurrently with itself or with any other
-/// actor on the same host, so `Send` — not `Sync` — is all that's needed).
+/// All callbacks receive a [`Ctx`] scoped to the event's time, and every
+/// callback is dispatched by one rule whichever core runs it: a stopped
+/// actor's events are dropped, and one that calls [`Ctx::stop_self`] loses
+/// its bindings after the callback returns. Actors must be `'static` (they
+/// are owned by the simulator) and `Send` (the windowed parallel engine
+/// executes disjoint shards of hosts on a worker pool; an actor is still
+/// never called concurrently with itself or with any other actor on the
+/// same host, so `Send` — not `Sync` — is all that's needed).
 pub trait Actor: Any + Send {
     /// Called once when the actor starts (at its scheduled start time).
     fn on_start(&mut self, _ctx: &mut Ctx<'_>) {}
@@ -895,6 +821,40 @@ pub(crate) struct ActorSlot {
     pub(crate) actor: Option<Box<dyn Actor>>,
     pub(crate) host: HostId,
     pub(crate) alive: bool,
+}
+
+impl ActorSlot {
+    /// Run one callback on this actor at `now` against `inner` — the
+    /// dispatch rule the sequential core and the parallel lanes share.
+    /// `None` (event dropped) if the actor is stopped or already running;
+    /// after a callback that asked to stop, the actor is marked dead and
+    /// its bindings on its host released.
+    pub(crate) fn dispatch<R>(
+        &mut self,
+        id: ActorId,
+        now: SimTime,
+        inner: CtxInner<'_>,
+        call: impl FnOnce(&mut dyn Actor, &mut Ctx<'_>) -> R,
+    ) -> Option<R> {
+        if !self.alive {
+            return None;
+        }
+        let mut actor = self.actor.take()?;
+        let mut ctx = Ctx {
+            now,
+            actor: id,
+            host: self.host,
+            inner,
+            stop_requested: false,
+        };
+        let out = call(actor.as_mut(), &mut ctx);
+        self.actor = Some(actor);
+        if ctx.stop_requested {
+            self.alive = false;
+            ctx.here_mut().release(id);
+        }
+        Some(out)
+    }
 }
 
 /// The simulator: a [`World`] plus its actors.
@@ -1015,6 +975,10 @@ impl Sim {
 
     /// Attach an actor to a host, starting at `start`.
     pub fn add_actor_at(&mut self, host: HostId, start: SimTime, actor: impl Actor) -> ActorId {
+        assert!(
+            host.0 < self.world.hosts.len() as u32,
+            "no such host {host:?}"
+        );
         let id = ActorId(self.actors.len() as u32);
         self.actors.push(ActorSlot {
             actor: Some(Box::new(actor)),
@@ -1035,16 +999,19 @@ impl Sim {
     pub fn stop_actor(&mut self, id: ActorId) {
         let slot = &mut self.actors[id.0 as usize];
         slot.alive = false;
-        let host = slot.host;
-        self.world.ports.remove_actor_on_host(host, id);
+        self.world.host_mut(slot.host).release(id);
     }
 
     /// Move an actor to a different host (VM migration): its port bindings
     /// on the old host are dropped; the actor must re-bind after resuming.
     pub fn move_actor(&mut self, id: ActorId, new_host: HostId) {
-        let old = self.actors[id.0 as usize].host;
-        self.world.ports.remove_actor_on_host(old, id);
-        self.actors[id.0 as usize].host = new_host;
+        assert!(
+            new_host.0 < self.world.hosts.len() as u32,
+            "no such host {new_host:?}"
+        );
+        let slot = &mut self.actors[id.0 as usize];
+        self.world.host_mut(slot.host).release(id);
+        slot.host = new_host;
     }
 
     /// The host an actor currently runs on.
@@ -1065,50 +1032,20 @@ impl Sim {
     ) -> R {
         let slot = &mut self.actors[id.0 as usize];
         assert!(slot.alive, "with_actor on a stopped actor");
-        let mut actor = slot.actor.take().expect("actor re-entered");
-        let host = slot.host;
-        let mut ctx = Ctx {
-            now: self.world.now,
-            actor: id,
-            host,
-            inner: CtxInner::World(&mut self.world),
-            stop_requested: false,
-        };
-        let any: &mut dyn Any = actor.as_mut();
-        let concrete = any
-            .downcast_mut::<A>()
-            .expect("with_actor called with the wrong actor type");
-        let out = f(concrete, &mut ctx);
-        let stop = ctx.stop_requested;
-        self.actors[id.0 as usize].actor = Some(actor);
-        if stop {
-            self.stop_actor(id);
-        }
-        out
+        let now = self.world.now;
+        slot.dispatch(id, now, CtxInner::World(&mut self.world), |actor, ctx| {
+            let any: &mut dyn Any = actor;
+            let concrete = any
+                .downcast_mut::<A>()
+                .expect("with_actor called with the wrong actor type");
+            f(concrete, ctx)
+        })
+        .expect("actor re-entered")
     }
 
     fn dispatch(&mut self, id: ActorId, call: impl FnOnce(&mut dyn Actor, &mut Ctx<'_>)) {
-        let slot = &mut self.actors[id.0 as usize];
-        if !slot.alive {
-            return;
-        }
-        let Some(mut actor) = slot.actor.take() else {
-            return; // re-entrant dispatch (not expected); drop the event
-        };
-        let host = slot.host;
-        let mut ctx = Ctx {
-            now: self.world.now,
-            actor: id,
-            host,
-            inner: CtxInner::World(&mut self.world),
-            stop_requested: false,
-        };
-        call(actor.as_mut(), &mut ctx);
-        let stop = ctx.stop_requested;
-        self.actors[id.0 as usize].actor = Some(actor);
-        if stop {
-            self.stop_actor(id);
-        }
+        let now = self.world.now;
+        self.actors[id.0 as usize].dispatch(id, now, CtxInner::World(&mut self.world), call);
     }
 
     /// Process one event. Returns `false` when the queue is empty.
@@ -1124,20 +1061,14 @@ impl Sim {
             Ev::Start(id) => self.dispatch(id, |a, ctx| a.on_start(ctx)),
             Ev::Wake { actor, tag } => self.dispatch(actor, |a, ctx| a.on_wake(ctx, tag)),
             Ev::NatIngress { domain, dgram } => self.world.nat_ingress(domain, dgram),
-            Ev::HostArrive { host, dgram } => self.world.host_arrive(host, dgram),
+            Ev::HostArrive { host, dgram } => {
+                if let Some(ready) = self.world.host_mut(host).arrive(at, dgram.payload.len()) {
+                    self.world.push(ready, Ev::ActorDeliver { host, dgram });
+                }
+            }
             Ev::ActorDeliver { host, dgram } => {
-                if !self.world.hosts.up[host.0 as usize] {
-                    // The packet cleared the downlink before the host went
-                    // down, but there is no process left to hand it to.
-                    self.world.stats.drop(DropReason::HostDown);
-                } else {
-                    match self.world.ports.get(host, dgram.dst.port) {
-                        Some(actor) => {
-                            self.world.stats.delivered += 1;
-                            self.dispatch(actor, |a, ctx| a.on_datagram(ctx, dgram));
-                        }
-                        None => self.world.stats.drop(DropReason::PortUnbound),
-                    }
+                if let Some(actor) = self.world.host_mut(host).deliver_to(dgram.dst.port) {
+                    self.dispatch(actor, |a, ctx| a.on_datagram(ctx, dgram));
                 }
             }
             Ev::Control(f) => f(self),
@@ -1148,25 +1079,36 @@ impl Sim {
     /// Run until the queue is empty or simulated time would pass `until`.
     /// Events at exactly `until` are processed.
     pub fn run_until(&mut self, until: SimTime) {
-        if self.par.workers() > 1 {
-            self.run_windowed(until.as_micros());
-        } else {
-            while let Some((at, _seq)) = self.world.queue.peek_at() {
-                if SimTime::from_micros(at) > until {
-                    break;
-                }
-                self.step();
-            }
-        }
+        self.run_to(until.as_micros());
         self.world.now = self.world.now.max(until);
     }
 
     /// Run until no events remain.
     pub fn run_to_quiescence(&mut self) {
-        if self.par.workers() > 1 {
-            self.run_windowed(u64::MAX);
-        } else {
-            while self.step() {}
+        self.run_to(u64::MAX);
+    }
+
+    /// Process events until the queue drains or the next one lies past
+    /// `until_us`: one at a time on one worker, else through conservative
+    /// lookahead windows (`crate::par`). A zero-latency path leaves no
+    /// window to parallelize over, so it degrades to single steps for the
+    /// rest of the call. Links change only in control events, which end a
+    /// window, so the lookahead is re-read after each window, not per event.
+    fn run_to(&mut self, until_us: u64) {
+        let mut lookahead = match self.par.workers() {
+            1 => 0,
+            _ => self.world.links.min_base_latency().as_micros(),
+        };
+        while let Some((first_at, _)) = self.world.queue.peek_at() {
+            if first_at > until_us {
+                return;
+            }
+            if lookahead == 0 {
+                self.step();
+            } else {
+                self.run_window(first_at, lookahead, until_us);
+                lookahead = self.world.links.min_base_latency().as_micros();
+            }
         }
     }
 }

@@ -58,12 +58,18 @@ pub(crate) fn port_slot_remove(slot: &mut PortSlot, port: u16) {
     }
 }
 
+/// Drop every binding `actor` holds in a slot (actor stop / migration).
+pub(crate) fn port_slot_release(slot: &mut PortSlot, actor: ActorId) {
+    slot.retain(|&(_, a)| a != actor);
+}
+
 impl PortTable {
     pub(crate) fn new() -> Self {
         PortTable::default()
     }
 
-    fn slot_mut(&mut self, host: HostId) -> &mut PortSlot {
+    /// One host's bindings, growing the table to reach it.
+    pub(crate) fn slot_mut(&mut self, host: HostId) -> &mut PortSlot {
         let i = host.0 as usize;
         if i >= self.by_host.len() {
             self.by_host.resize_with(i + 1, Vec::new);
@@ -81,46 +87,19 @@ impl PortTable {
         }
     }
 
-    /// Raw base pointer to the per-host slots. Callers must `ensure_hosts`
-    /// first and may only touch slots they own (see `crate::par` safety
-    /// notes).
+    /// Raw base pointer to the per-host slots, captured once per window by
+    /// the parallel engine. Callers must `ensure_hosts` first; a lane then
+    /// turns only the slots of hosts in its own shard into `&mut PortSlot`
+    /// inside its host handle (see `crate::par`), and the rules that use
+    /// the slot are the same ones the sequential core runs.
     pub(crate) fn raw_slots(&mut self) -> *mut PortSlot {
         self.by_host.as_mut_ptr()
-    }
-
-    /// Bind `port` on `host`, returning the previous binding if any.
-    pub(crate) fn insert(&mut self, host: HostId, port: u16, actor: ActorId) -> Option<ActorId> {
-        port_slot_insert(self.slot_mut(host), port, actor)
-    }
-
-    /// The actor bound on `(host, port)`, if any.
-    pub(crate) fn get(&self, host: HostId, port: u16) -> Option<ActorId> {
-        port_slot_get(self.by_host.get(host.0 as usize)?, port)
-    }
-
-    /// True if `(host, port)` is bound.
-    pub(crate) fn contains(&self, host: HostId, port: u16) -> bool {
-        self.get(host, port).is_some()
-    }
-
-    /// Drop one binding.
-    pub(crate) fn remove(&mut self, host: HostId, port: u16) {
-        if let Some(slot) = self.by_host.get_mut(host.0 as usize) {
-            port_slot_remove(slot, port);
-        }
     }
 
     /// Drop every binding on `host` (host restart).
     pub(crate) fn clear_host(&mut self, host: HostId) {
         if let Some(slot) = self.by_host.get_mut(host.0 as usize) {
             slot.clear();
-        }
-    }
-
-    /// Drop every binding `actor` holds on `host` (actor stop / migration).
-    pub(crate) fn remove_actor_on_host(&mut self, host: HostId, actor: ActorId) {
-        if let Some(slot) = self.by_host.get_mut(host.0 as usize) {
-            slot.retain(|&(_, a)| a != actor);
         }
     }
 }
@@ -307,33 +286,40 @@ mod tests {
     #[test]
     fn port_table_bind_lookup_unbind() {
         let mut t = PortTable::new();
-        let h = HostId(5);
-        assert_eq!(t.insert(h, 4000, ActorId(1)), None);
-        assert_eq!(t.insert(h, 80, ActorId(2)), None);
-        assert_eq!(t.get(h, 4000), Some(ActorId(1)));
-        assert_eq!(t.get(h, 80), Some(ActorId(2)));
-        assert_eq!(t.get(h, 81), None);
-        assert_eq!(t.get(HostId(99), 80), None);
+        let slot = t.slot_mut(HostId(5));
+        assert_eq!(port_slot_insert(slot, 4000, ActorId(1)), None);
+        assert_eq!(port_slot_insert(slot, 80, ActorId(2)), None);
+        assert_eq!(port_slot_get(slot, 4000), Some(ActorId(1)));
+        assert_eq!(port_slot_get(slot, 80), Some(ActorId(2)));
+        assert_eq!(port_slot_get(slot, 81), None);
         // Rebinding returns the previous owner.
-        assert_eq!(t.insert(h, 80, ActorId(3)), Some(ActorId(2)));
-        t.remove(h, 80);
-        assert_eq!(t.get(h, 80), None);
-        assert!(t.contains(h, 4000));
+        assert_eq!(port_slot_insert(slot, 80, ActorId(3)), Some(ActorId(2)));
+        port_slot_remove(slot, 80);
+        assert_eq!(port_slot_get(slot, 80), None);
+        assert_eq!(port_slot_get(slot, 4000), Some(ActorId(1)));
+        assert!(
+            t.slot_mut(HostId(99)).is_empty(),
+            "grown hosts start unbound"
+        );
     }
 
     #[test]
     fn port_table_clear_host_and_actor_retain() {
         let mut t = PortTable::new();
         let (h1, h2) = (HostId(0), HostId(1));
-        t.insert(h1, 1, ActorId(1));
-        t.insert(h1, 2, ActorId(2));
-        t.insert(h2, 1, ActorId(1));
-        t.remove_actor_on_host(h1, ActorId(1));
-        assert_eq!(t.get(h1, 1), None);
-        assert_eq!(t.get(h1, 2), Some(ActorId(2)));
-        assert_eq!(t.get(h2, 1), Some(ActorId(1)), "other hosts untouched");
+        port_slot_insert(t.slot_mut(h1), 1, ActorId(1));
+        port_slot_insert(t.slot_mut(h1), 2, ActorId(2));
+        port_slot_insert(t.slot_mut(h2), 1, ActorId(1));
+        port_slot_release(t.slot_mut(h1), ActorId(1));
+        assert_eq!(port_slot_get(t.slot_mut(h1), 1), None);
+        assert_eq!(port_slot_get(t.slot_mut(h1), 2), Some(ActorId(2)));
+        assert_eq!(
+            port_slot_get(t.slot_mut(h2), 1),
+            Some(ActorId(1)),
+            "other hosts untouched"
+        );
         t.clear_host(h1);
-        assert_eq!(t.get(h1, 2), None);
+        assert_eq!(port_slot_get(t.slot_mut(h1), 2), None);
     }
 
     #[test]

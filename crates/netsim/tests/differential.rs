@@ -81,9 +81,13 @@ impl Actor for Echo {
     }
 }
 
+/// A port each chatter binds, releases and binds again mid-run.
+const FIXED_PORT: u16 = 7000;
+
 /// The workhorse: short in-window wake chains, batch sends to a target
-/// list, hairpin/private probes, CPU occupancy, ephemeral rebinds and
-/// eventual self-stop. All decisions derive from a private LCG stream.
+/// list, hairpin/private probes, CPU occupancy, host queries, ephemeral
+/// binds, a fixed-port rebind and eventual self-stop. All decisions derive
+/// from a private LCG stream.
 struct Chatter {
     name: &'static str,
     rng: Lcg,
@@ -141,6 +145,30 @@ impl Actor for Chatter {
                         ctx.cpu_acquire(SimDuration::from_micros(200 + self.rng.next() % 3000));
                     ctx.wake_at(done, 2);
                 }
+                // The host queries and port rules an actor can observe.
+                let spec = ctx.my_host_spec();
+                let shared = ctx.cpu_timeshared(SimDuration::from_micros(500));
+                let mut line = format!(
+                    "{} host {} ip={} spec={}/{}/{}/{} speed={} timeshared={}",
+                    ctx.now.as_micros(),
+                    self.name,
+                    ctx.my_ip(),
+                    spec.name,
+                    spec.cpu_speed,
+                    spec.uplink_bps,
+                    spec.downlink_bps,
+                    ctx.my_cpu_speed(),
+                    shared.as_micros(),
+                );
+                if self.rounds == 3 {
+                    // Re-bind a fixed port after releasing it; it stays
+                    // bound until the actor stops.
+                    let first = ctx.bind(FIXED_PORT);
+                    ctx.unbind(FIXED_PORT);
+                    let again = ctx.bind(FIXED_PORT);
+                    line.push_str(&format!(" rebind={first}->{again}"));
+                }
+                self.log.lock().unwrap().push(line);
                 // Sub-window chain: a couple of micro-delay wakes that land
                 // inside the current lookahead window (lane-chained).
                 ctx.wake_after(SimDuration::from_micros(self.rng.next() % 40), 1);
@@ -212,6 +240,11 @@ fn run_scenario(seed: u64, workers: usize) -> String {
             .cpu_speed(0.5 + (i as f64) * 0.2)
             .links_bps(8e5 + (i as f64) * 1e5, 1.0e6 + (i as f64) * 2e5);
         hosts.push(sim.add_host(d, spec));
+    }
+    // Background load on two of every three hosts, so every scaled CPU
+    // completion the chatters log depends on it.
+    for (i, &h) in hosts.iter().enumerate() {
+        sim.world().set_host_load(h, 1.0 + (i % 3) as f64 * 0.5);
     }
 
     // Echo servers everywhere on port 100.

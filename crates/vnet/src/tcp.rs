@@ -249,9 +249,13 @@ pub struct TcpConn {
     /// retransmitted data).
     rtt_probe: Option<(u32, SimTime)>,
     // --- receive side ---
-    rcv_nxt: u32,
+    /// Next expected sequence number, counted without wrapping: the wire
+    /// value is its low 32 bits. Out-of-order chunks are keyed on the same
+    /// scale, so the map's key order is stream order even when the receive
+    /// window crosses 2^32.
+    rcv_nxt: u64,
     recv_buf: RecvQueue,
-    ooo: BTreeMap<u32, Bytes>,
+    ooo: BTreeMap<u64, Bytes>,
     peer_fin_seq: Option<u32>,
     fin_delivered: bool,
     // --- timers/misc ---
@@ -301,7 +305,7 @@ impl TcpConn {
         debug_assert!(syn.flags.syn && !syn.flags.ack);
         let mut c = Self::raw(local_port, remote_port, iss, cfg);
         c.state = TcpState::SynReceived;
-        c.rcv_nxt = syn.seq.wrapping_add(1);
+        c.rcv_nxt = syn.seq.wrapping_add(1).into();
         c.peer_window = syn.window;
         c.snd_nxt = iss.wrapping_add(1);
         let seg = c.make_segment(
@@ -539,7 +543,7 @@ impl TcpConn {
         match self.state {
             TcpState::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == self.snd_nxt {
-                    self.rcv_nxt = seg.seq.wrapping_add(1);
+                    self.rcv_nxt = seg.seq.wrapping_add(1).into();
                     self.snd_una = seg.ack;
                     self.rtx_count = 0;
                     self.rtx_deadline = None;
@@ -589,7 +593,7 @@ impl TcpConn {
             src_port: self.local_port,
             dst_port: self.remote_port,
             seq,
-            ack: self.rcv_nxt,
+            ack: self.rcv_nxt as u32,
             flags: TcpFlags {
                 ack: flags.ack || self.state != TcpState::SynSent,
                 ..flags
@@ -860,8 +864,8 @@ impl TcpConn {
         }
         // Deliver the FIN once all data before it has arrived.
         if let Some(fin_at) = self.peer_fin_seq {
-            if !self.fin_delivered && self.rcv_nxt == fin_at {
-                self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
+            if !self.fin_delivered && self.rcv_nxt as u32 == fin_at {
+                self.rcv_nxt += 1;
                 self.fin_delivered = true;
                 self.events.push(TcpEvent::PeerClosed);
                 match self.state {
@@ -885,7 +889,7 @@ impl TcpConn {
     /// `rcv_nxt`, as far as the receive capacity allows. False when the
     /// buffer filled before the chunk ended.
     fn append_in_order(&mut self, seq: u32, mut chunk: Bytes) -> bool {
-        let offset = self.rcv_nxt.wrapping_sub(seq) as usize;
+        let offset = (self.rcv_nxt as u32).wrapping_sub(seq) as usize;
         if offset >= chunk.len() {
             return true;
         }
@@ -896,48 +900,67 @@ impl TcpConn {
         if take > 0 {
             self.recv_buf
                 .push(if whole { chunk } else { chunk.split_to(take) });
-            self.rcv_nxt = self.rcv_nxt.wrapping_add(take as u32);
+            self.rcv_nxt += take as u64;
             self.events.push(TcpEvent::DataReadable);
         }
         whole
     }
 
+    /// Store an in-window out-of-order chunk (first byte at unwrapped
+    /// position `at`) so stored chunks never overlap: the bytes a stored
+    /// predecessor already holds are cut from the front, stored chunks the
+    /// new one covers are replaced, and a stored successor it runs into
+    /// cuts its end. Overlapping segments therefore stash each window byte
+    /// at most once — never more than `recv_capacity` bytes in all.
+    fn stash(&mut self, mut at: u64, mut chunk: Bytes) {
+        if let Some((&s, prev)) = self.ooo.range(..=at).next_back() {
+            let prev_end = s + prev.len() as u64;
+            if at < prev_end {
+                let covered = (prev_end - at) as usize;
+                if covered >= chunk.len() {
+                    return;
+                }
+                chunk.advance(covered);
+                at = prev_end;
+            }
+        }
+        let end = at + chunk.len() as u64;
+        while let Some((&s, next)) = self.ooo.range(at..).next() {
+            if s >= end {
+                break;
+            }
+            if s + next.len() as u64 <= end {
+                self.ooo.remove(&s);
+            } else {
+                chunk = chunk.slice(..(s - at) as usize);
+                break;
+            }
+        }
+        if !chunk.is_empty() {
+            self.ooo.insert(at, chunk);
+        }
+    }
+
     fn ingest_payload(&mut self, seq: u32, mut payload: Bytes) {
-        if seq_lt(self.rcv_nxt, seq) {
+        if seq_lt(self.rcv_nxt as u32, seq) {
             // Out of order: stash for later what falls inside the receive
             // window `[rcv_nxt, rcv_nxt + recv_capacity)`. The advertised
             // window keeps an honest peer inside it; a segment that starts
             // beyond it is dropped and one that runs past it is cut, so far
             // sequence numbers cannot grow the map.
-            let ahead = seq.wrapping_sub(self.rcv_nxt) as usize;
+            let ahead = seq.wrapping_sub(self.rcv_nxt as u32) as usize;
             if ahead < self.cfg.recv_capacity {
                 let keep = payload.len().min(self.cfg.recv_capacity - ahead);
-                self.ooo.entry(seq).or_insert(payload.split_to(keep));
+                self.stash(self.rcv_nxt + ahead as u64, payload.split_to(keep));
             }
         } else {
             // Overlaps or extends the in-order point.
             self.append_in_order(seq, payload);
         }
-        // Drain any out-of-order chunks that are now in order.
-        #[allow(clippy::while_let_loop)]
-        loop {
-            let Some((&seq0, _)) = self.ooo.iter().next() else {
-                break;
-            };
-            // Find a stored chunk that starts at or before rcv_nxt.
-            let candidate = self
-                .ooo
-                .range(..=self.rcv_nxt)
-                .next_back()
-                .map(|(&s, _)| s)
-                .or(if seq0 == self.rcv_nxt {
-                    Some(seq0)
-                } else {
-                    None
-                });
-            let Some(s) = candidate else { break };
+        // Drain the stored chunks that start at or before rcv_nxt.
+        while let Some((&s, _)) = self.ooo.range(..=self.rcv_nxt).next_back() {
             let chunk = self.ooo.remove(&s).expect("present");
-            if !self.append_in_order(s, chunk) {
+            if !self.append_in_order(s as u32, chunk) {
                 break; // buffer full
             }
         }

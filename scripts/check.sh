@@ -9,6 +9,18 @@ cd "$(dirname "$0")/.."
 echo "==> no retired twin in shipping code"
 if find crates/*/src examples benchmark/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'legacy_bootstrap|set_batching|tick_due|next_hop_scan|peer_by_remote_scan|Backend::Thread|UdpNode::spawn|transit_fast_path:'; then exit 1; fi
 
+# One rule set per host: parallel lanes reach host columns only through the
+# host handle, so the simulator keeps exactly four `unsafe` sites (DESIGN.md
+# "Parallel event core" lists them). A fifth is a design change, not a
+# drive-by.
+echo "==> at most 4 unsafe sites in crates/netsim/src"
+sites=$(grep -rhw unsafe crates/netsim/src | grep -cvE '^\s*//' || true)
+if [ "$sites" -gt 4 ]; then
+    echo "crates/netsim/src has $sites unsafe sites (max 4):"
+    grep -rnw unsafe crates/netsim/src | grep -vE ':\s*//'
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace --all-targets
 
