@@ -33,7 +33,7 @@ pub struct Fig8Config {
     pub routers: usize,
     /// Root seed.
     pub seed: u64,
-    /// Simulator event-execution workers (`0` inherits `WOW_SIM_WORKERS`).
+    /// Simulator event-execution workers (`0` = the simulator's choice).
     pub workers: usize,
 }
 

@@ -146,6 +146,10 @@ pub fn run(cfg: &JoinStormConfig) -> JoinStormResult {
     ring.sort();
 
     let mut sim = Sim::new(cfg.seed);
+    // One worker: the storm funnels every join through a few introducers,
+    // and at 10k joiners two workers ran it slower than one (EXPERIMENTS.md
+    // "The simulator picks its own worker count").
+    sim.set_workers(1);
     let wan = sim.add_domain(DomainSpec::public("wan"));
 
     // --- core: seeded ring, exactly the scale-harness idiom ---

@@ -61,7 +61,7 @@ pub struct ScaleConfig {
     pub poll: SimDuration,
     /// Greedy routing pairs sampled per audit pass.
     pub route_samples: usize,
-    /// Simulator event-execution workers (`0` inherits `WOW_SIM_WORKERS`).
+    /// Simulator event-execution workers (`0` = the simulator's choice).
     /// Any value yields byte-identical results; see `results/scale_par.csv`
     /// for the measured speedup.
     pub workers: usize,
@@ -242,9 +242,7 @@ fn build(cfg: &ScaleConfig, overlay: OverlayConfig) -> ScaleNet {
     let n = addrs.len();
 
     let mut sim = Sim::new(cfg.seed);
-    if cfg.workers > 0 {
-        sim.set_workers(cfg.workers);
-    }
+    sim.set_workers(cfg.workers);
     let wan = sim.add_domain(DomainSpec::public("wan"));
     let mut hosts = Vec::with_capacity(n);
     let mut actors = Vec::with_capacity(n);

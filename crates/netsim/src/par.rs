@@ -487,9 +487,34 @@ impl LaneStream {
     }
 }
 
-/// The parallel engine: worker count, the (lazily built) pool, and reusable
-/// lane contexts. Owned by [`Sim`]; inert while `workers == 1`.
+/// Half the host count at which the simulator runs a second worker.
+/// Measured with `scale_par` on 2 cores: a 5 000-host world runs faster on
+/// 2 workers, a 2 000-host world breaks even and the ~53-host testbed runs
+/// slower (EXPERIMENTS.md "The simulator picks its own worker count").
+const HOSTS_PER_WORKER: usize = 2_500;
+
+/// The simulator's worker count for a world of `hosts` hosts on `cores`
+/// cores whose shortest path takes `lookahead_us`: two once the world
+/// reaches `2 * HOSTS_PER_WORKER` hosts on at least two cores, else one.
+/// No count above two was measured, so the rule never picks one; a
+/// zero-latency path leaves no window to run in parallel.
+fn chosen_workers(cores: usize, hosts: usize, lookahead_us: u64) -> usize {
+    if cores >= 2 && hosts >= 2 * HOSTS_PER_WORKER && lookahead_us > 0 {
+        2
+    } else {
+        1
+    }
+}
+
+/// The parallel engine: the worker count, the (lazily built) pool, and
+/// reusable lane contexts. Owned by [`Sim`]; inert while one worker runs.
 pub(crate) struct ParEngine {
+    /// The count set by `Sim::set_workers`; `0` leaves it to
+    /// [`chosen_workers`].
+    pub(crate) pinned: usize,
+    /// `available_parallelism`, read the first time the rule needs it.
+    cores: std::cell::OnceCell<usize>,
+    /// The count the pool and lanes are built for.
     workers: usize,
     pool: Option<rayon::ThreadPool>,
     lanes: Vec<LaneCtx>,
@@ -499,32 +524,39 @@ pub(crate) struct ParEngine {
 }
 
 impl ParEngine {
-    /// Worker count from `WOW_SIM_WORKERS` (default 1 = sequential).
-    pub(crate) fn from_env() -> Self {
-        let workers = std::env::var("WOW_SIM_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|w| w.max(1))
-            .unwrap_or(1);
+    pub(crate) fn new() -> Self {
         ParEngine {
-            workers,
+            pinned: 0,
+            cores: std::cell::OnceCell::new(),
+            workers: 1,
             pool: None,
             lanes: Vec::new(),
             inline_batch: INLINE_BATCH,
         }
     }
 
-    pub(crate) fn set_workers(&mut self, workers: usize) {
-        let workers = workers.max(1);
+    /// The worker count for a world of `hosts` hosts with the given
+    /// lookahead: the pin, else the simulator's choice.
+    pub(crate) fn workers_for(&self, hosts: usize, lookahead_us: u64) -> usize {
+        match self.pinned {
+            0 => {
+                let cores = *self
+                    .cores
+                    .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+                chosen_workers(cores, hosts, lookahead_us)
+            }
+            k => k,
+        }
+    }
+
+    /// Run the next windows on `workers` workers, dropping the pool and
+    /// lanes built for another count.
+    pub(crate) fn resize(&mut self, workers: usize) {
         if workers != self.workers {
             self.workers = workers;
             self.pool = None;
             self.lanes.clear();
         }
-    }
-
-    pub(crate) fn workers(&self) -> usize {
-        self.workers
     }
 }
 
@@ -698,5 +730,32 @@ impl Sim {
             self.events_processed += 1;
             f(self);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_rule_adds_a_second_worker_above_the_threshold() {
+        let h = HOSTS_PER_WORKER;
+        assert_eq!(chosen_workers(2, 53, 1_000), 1, "testbed-size world");
+        assert_eq!(chosen_workers(2, h, 1_000), 1);
+        assert_eq!(chosen_workers(2, 2 * h - 1, 1_000), 1);
+        assert_eq!(chosen_workers(2, 2 * h, 1_000), 2);
+    }
+
+    #[test]
+    fn worker_rule_stops_at_the_measured_count() {
+        assert_eq!(chosen_workers(1, 40 * HOSTS_PER_WORKER, 1_000), 1);
+        assert_eq!(chosen_workers(0, 40 * HOSTS_PER_WORKER, 1_000), 1);
+        assert_eq!(chosen_workers(2, 40 * HOSTS_PER_WORKER, 1_000), 2);
+        assert_eq!(chosen_workers(8, 40 * HOSTS_PER_WORKER, 1_000), 2);
+    }
+
+    #[test]
+    fn worker_rule_steps_a_zero_lookahead_world() {
+        assert_eq!(chosen_workers(8, 40 * HOSTS_PER_WORKER, 0), 1);
     }
 }

@@ -648,13 +648,28 @@ pub(crate) enum CtxInner<'a> {
 }
 
 /// The per-event handle actors use to interact with the world.
+///
+/// A callback acts on its own host only; it cannot re-aim the handle at
+/// another one:
+///
+/// ```compile_fail,E0616
+/// use wow_netsim::prelude::*;
+///
+/// struct Roamer;
+/// impl Actor for Roamer {
+///     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+///         ctx.host = HostId(0);
+///     }
+/// }
+/// ```
 pub struct Ctx<'a> {
     /// Current simulated time.
     pub now: SimTime,
     /// The running actor's id.
     pub actor: ActorId,
-    /// The host the running actor is attached to.
-    pub host: HostId,
+    /// The host the running actor is attached to. Crate-private: a lane
+    /// reaches host columns through it, so actor code must not rewrite it.
+    pub(crate) host: HostId,
     pub(crate) inner: CtxInner<'a>,
     pub(crate) stop_requested: bool,
 }
@@ -739,23 +754,6 @@ impl Ctx<'_> {
     /// Schedule `on_wake(tag)` after a delay.
     pub fn wake_after(&mut self, after: SimDuration, tag: u64) {
         self.wake_at(self.now + after, tag);
-    }
-
-    /// Deterministic world RNG.
-    ///
-    /// # Panics
-    /// Panics under parallel execution (`Sim::set_workers` > 1): the world
-    /// RNG's draw order is part of the determinism contract and is owned by
-    /// the network path. Actors needing randomness should derive a private
-    /// stream from [`crate::rng::SeedSplitter`] at construction instead.
-    pub fn rng(&mut self) -> &mut SmallRng {
-        match &mut self.inner {
-            CtxInner::World(world) => world.rng(),
-            CtxInner::Lane(_) => panic!(
-                "Ctx::rng is unavailable under parallel execution; \
-                 derive a per-actor RNG from SeedSplitter instead"
-            ),
-        }
     }
 
     /// This actor's host address (private if behind a NAT).
@@ -866,32 +864,39 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create an empty simulation with the given root seed.
-    ///
-    /// The worker count for the parallel event engine defaults to the
-    /// `WOW_SIM_WORKERS` environment variable (1 — pure sequential — when
-    /// unset); [`Sim::set_workers`] overrides it.
+    /// Create an empty simulation with the given root seed. The simulator
+    /// picks its own worker count (see [`Sim::set_workers`]).
     pub fn new(seed: u64) -> Self {
         Sim {
             world: World::new(seed),
             actors: Vec::new(),
             events_processed: 0,
-            par: crate::par::ParEngine::from_env(),
+            par: crate::par::ParEngine::new(),
         }
     }
 
-    /// Set the number of event-execution workers. `1` (the default) runs
-    /// the classic sequential loop; `k > 1` runs conservative lookahead
-    /// windows over `k` pool workers (see `crate::par`). Any value produces
+    /// Pin the number of event-execution workers. `1` runs the sequential
+    /// loop; `k > 1` runs conservative lookahead windows over `k` pool
+    /// workers (see `crate::par`); `0` (the default) returns the choice to
+    /// the simulator, which runs two workers on a world of 5 000 hosts or
+    /// more when it has two cores, else one. Any value produces
     /// byte-identical results — transcripts, stats, RNG streams and the
     /// fault transcript do not depend on `k`.
     pub fn set_workers(&mut self, workers: usize) {
-        self.par.set_workers(workers);
+        self.par.pinned = workers;
     }
 
-    /// The configured worker count.
+    /// The worker count in effect for the world as it stands: the pinned
+    /// count, else the simulator's choice.
     pub fn workers(&self) -> usize {
-        self.par.workers()
+        self.par
+            .workers_for(self.world.hosts.len(), self.lookahead_us())
+    }
+
+    /// The shortest base latency of any path: no event can affect another
+    /// host sooner, so it bounds a parallel window.
+    fn lookahead_us(&self) -> u64 {
+        self.world.links.min_base_latency().as_micros()
     }
 
     /// Lower the batch size below which a window executes inline instead of
@@ -1090,15 +1095,18 @@ impl Sim {
 
     /// Process events until the queue drains or the next one lies past
     /// `until_us`: one at a time on one worker, else through conservative
-    /// lookahead windows (`crate::par`). A zero-latency path leaves no
-    /// window to parallelize over, so it degrades to single steps for the
-    /// rest of the call. Links change only in control events, which end a
-    /// window, so the lookahead is re-read after each window, not per event.
+    /// lookahead windows (`crate::par`). The worker count is settled once
+    /// per call. A zero-latency path leaves no window to parallelize over,
+    /// so it degrades to single steps for the rest of the call. Links
+    /// change only in control events, which end a window, so the lookahead
+    /// is re-read after each window, not per event.
     fn run_to(&mut self, until_us: u64) {
-        let mut lookahead = match self.par.workers() {
-            1 => 0,
-            _ => self.world.links.min_base_latency().as_micros(),
-        };
+        let mut lookahead = self.lookahead_us();
+        let workers = self.par.workers_for(self.world.hosts.len(), lookahead);
+        self.par.resize(workers);
+        if workers == 1 {
+            lookahead = 0;
+        }
         while let Some((first_at, _)) = self.world.queue.peek_at() {
             if first_at > until_us {
                 return;
@@ -1107,7 +1115,7 @@ impl Sim {
                 self.step();
             } else {
                 self.run_window(first_at, lookahead, until_us);
-                lookahead = self.world.links.min_base_latency().as_micros();
+                lookahead = self.lookahead_us();
             }
         }
     }
@@ -1559,5 +1567,46 @@ mod tests {
         assert_eq!(run(77), run(77));
         // Different seed shifts jitter and hence the last arrival time.
         assert_ne!(run(77).2, run(78).2);
+    }
+
+    /// The benchmark's contract: a pin of one keeps the sequential core even
+    /// where the simulator would choose more, and a pin of zero hands the
+    /// choice back.
+    #[test]
+    fn pinned_worker_count_overrides_the_simulators_choice() {
+        let mut sim = Sim::new(5);
+        let d = sim.add_domain(DomainSpec::public("wan"));
+        let hosts: Vec<HostId> = (0..5_000)
+            .map(|i| sim.add_host(d, HostSpec::new(format!("h{i}"))))
+            .collect();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let chosen = cores.min(2);
+        assert_eq!(sim.workers(), chosen, "5 000 hosts on {cores} cores");
+
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        sim.add_actor(
+            hosts[1],
+            Sink {
+                port: 7,
+                seen: seen.clone(),
+            },
+        );
+        let dst = PhysAddr::new(sim.world().host_ip(hosts[1]), 7);
+        sim.add_actor(
+            hosts[0],
+            Shot {
+                port: 9,
+                dst,
+                payload: b"z",
+            },
+        );
+        sim.set_workers(1);
+        assert_eq!(sim.workers(), 1);
+        sim.run_until(SimTime::from_millis(1));
+        assert_eq!(sim.workers(), 1);
+        sim.set_workers(0);
+        assert_eq!(sim.workers(), chosen);
+        sim.run_to_quiescence();
+        assert_eq!(seen.lock().unwrap().len(), 1);
     }
 }

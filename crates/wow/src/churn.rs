@@ -51,9 +51,9 @@ pub struct ChurnConfig {
     pub restart_after: Option<SimDuration>,
     /// Greedy routing pairs sampled per audit pass.
     pub route_samples: usize,
-    /// Event-execution workers for the underlying simulator. `0` inherits
-    /// the `WOW_SIM_WORKERS` environment default; any value yields
-    /// byte-identical outcomes (see the parallel differential suite).
+    /// Event-execution workers for the underlying simulator. `0` leaves the
+    /// count to the simulator; any value yields byte-identical outcomes
+    /// (see the parallel differential suite).
     pub workers: usize,
 }
 
@@ -163,9 +163,7 @@ impl Net {
 /// behaviour transfers.
 fn build(cfg: &ChurnConfig) -> Net {
     let mut sim = Sim::new(cfg.seed);
-    if cfg.workers > 0 {
-        sim.set_workers(cfg.workers);
-    }
+    sim.set_workers(cfg.workers);
     let wan = sim.add_domain(DomainSpec::public("wan"));
     let seeds = SeedSplitter::new(cfg.seed);
     let mut rng = seeds.rng("addresses");

@@ -150,9 +150,9 @@ pub struct TestbedConfig {
     pub nodes_start: SimTime,
     /// Gap between consecutive compute-node starts.
     pub node_start_gap: SimDuration,
-    /// Event-execution workers for the simulator. `0` inherits the
-    /// `WOW_SIM_WORKERS` environment default; any value yields
-    /// byte-identical results (see the parallel differential suite).
+    /// Event-execution workers for the simulator. `0` leaves the count to
+    /// the simulator; any value yields byte-identical results (see the
+    /// parallel differential suite).
     pub workers: usize,
 }
 
@@ -231,9 +231,7 @@ pub fn build<W: Workload>(
     mut make_workload: impl FnMut(usize, &NodeSpec) -> W,
 ) -> Testbed {
     let mut sim = Sim::new(cfg.seed);
-    if cfg.workers > 0 {
-        sim.set_workers(cfg.workers);
-    }
+    sim.set_workers(cfg.workers);
     let seeds = SeedSplitter::new(cfg.seed).child("testbed");
 
     // ---- domains ----

@@ -74,7 +74,7 @@ impl Outcome {
     }
 }
 
-/// `workers = 0` inherits the `WOW_SIM_WORKERS` environment default; any
+/// `workers = 0` leaves the count to the simulator; any
 /// explicit count must reproduce the identical [`Outcome`] (asserted by the
 /// parallel differential test below).
 fn run_scenario(seed: u64, workers: usize) -> Outcome {

@@ -4,10 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# One path per seam: a twin that was proven equivalent and deleted stays
-# deleted in shipping code (test modules may name their oracles after it).
+# One path per seam: a twin that was proven equivalent and deleted, or a
+# retired knob, stays deleted in shipping code (test modules may name their
+# oracles after it).
 echo "==> no retired twin in shipping code"
-if find crates/*/src examples benchmark/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'legacy_bootstrap|set_batching|tick_due|next_hop_scan|peer_by_remote_scan|Backend::Thread|UdpNode::spawn|transit_fast_path:'; then exit 1; fi
+if find crates/*/src examples benchmark/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'legacy_bootstrap|set_batching|tick_due|next_hop_scan|peer_by_remote_scan|Backend::Thread|UdpNode::spawn|transit_fast_path:|WOW_SIM_WORKERS'; then exit 1; fi
 
 # One rule set per host: parallel lanes reach host columns only through the
 # host handle, so the simulator keeps exactly four `unsafe` sites (DESIGN.md
