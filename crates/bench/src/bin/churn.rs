@@ -1,7 +1,9 @@
 //! Regenerate the churn-recovery artefacts: kill-k self-healing across a
 //! seed matrix (repair times, fault transcripts, merged telemetry).
+//! `--quick` runs two seeds on a smaller ring; `--restart` brings victims
+//! back after 30 s so they must rejoin.
 
-use wow_bench::churn::{run_matrix, ChurnBenchConfig};
+use wow::churn::{run, ChurnConfig};
 use wow_bench::report::{banner, r1, write_csv, Table};
 use wow_netsim::prelude::SimDuration;
 use wow_overlay::prelude::Counter;
@@ -9,32 +11,43 @@ use wow_overlay::prelude::Counter;
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let restart = std::env::args().any(|a| a == "--restart");
-    let mut cfg = if quick {
-        ChurnBenchConfig::quick()
+    let (seeds, nodes, kill, batches): (&[u64], _, _, _) = if quick {
+        (&[0xC4A0, 0xC4A1], 10, 2, 1)
     } else {
-        ChurnBenchConfig::default()
+        (&[0xC4A0, 0xC4A1, 0xC4A2, 0xC4A3], 16, 3, 2)
     };
-    if restart {
-        cfg.restart_after = Some(SimDuration::from_secs(30));
-    }
+    let cfg = ChurnConfig {
+        nodes,
+        kill,
+        batches,
+        restart_after: restart.then(|| SimDuration::from_secs(30)),
+        ..ChurnConfig::default()
+    };
     banner(
         "Churn -- kill-k self-healing, seed matrix",
         "ring re-forms after simultaneous node failures; repair bounded by the audit window",
     );
     println!(
         "config: {} nodes, kill {} x {} batches, seeds {:?}, restart {:?}\n",
-        cfg.nodes, cfg.kill, cfg.batches, cfg.seeds, cfg.restart_after
+        cfg.nodes, cfg.kill, cfg.batches, seeds, cfg.restart_after
     );
-    let outcomes = run_matrix(&cfg);
+    let outcomes: Vec<_> = seeds
+        .iter()
+        .map(|&seed| {
+            let mut scenario = cfg.clone();
+            scenario.seed = seed;
+            (seed, run(&scenario))
+        })
+        .collect();
 
     let mut t = Table::new(&["seed", "batch", "killed", "repair (s)", "live", "ok"]);
     let mut recovery_rows = Vec::new();
-    for so in &outcomes {
-        for b in &so.outcome.batches {
+    for (seed, outcome) in &outcomes {
+        for b in &outcome.batches {
             let repair = b.repair_secs();
             let ok = b.repaired_at.is_some();
             t.row(&[
-                &format!("{:#x}", so.seed),
+                &format!("{seed:#x}"),
                 &b.batch,
                 &b.killed.len(),
                 &repair.map(r1).map_or("-".to_string(), |s| s.to_string()),
@@ -42,8 +55,7 @@ fn main() {
                 &ok,
             ]);
             recovery_rows.push(format!(
-                "{:#x},{},{},{},{},{}",
-                so.seed,
+                "{seed:#x},{},{},{},{},{}",
                 b.batch,
                 b.killed.len(),
                 repair.map_or("".to_string(), |s| format!("{s:.1}")),
@@ -53,15 +65,14 @@ fn main() {
         }
     }
     t.print();
-    for so in &outcomes {
+    for (seed, outcome) in &outcomes {
         println!(
-            "seed {:#x}: initial audit {}, healed {}, transcript {} faults, near links lost/relinked {}/{}",
-            so.seed,
-            if so.outcome.initial_ok { "ok" } else { "FAILED" },
-            so.outcome.healed(),
-            so.outcome.transcript.len(),
-            so.outcome.counters.get(Counter::NearLost),
-            so.outcome.counters.get(Counter::NearLinked),
+            "seed {seed:#x}: initial audit {}, healed {}, transcript {} faults, near links lost/relinked {}/{}",
+            if outcome.initial_ok { "ok" } else { "FAILED" },
+            outcome.healed(),
+            outcome.transcript.len(),
+            outcome.counters.get(Counter::NearLost),
+            outcome.counters.get(Counter::NearLinked),
         );
     }
     write_csv(
@@ -76,15 +87,15 @@ fn main() {
     write_csv(
         "churn_counters.csv",
         &header,
-        outcomes.iter().map(|so| {
-            std::iter::once(format!("{:#x}", so.seed))
-                .chain(so.outcome.counters.iter().map(|(_, v)| v.to_string()))
+        outcomes.iter().map(|(seed, outcome)| {
+            std::iter::once(format!("{seed:#x}"))
+                .chain(outcome.counters.iter().map(|(_, v)| v.to_string()))
                 .collect::<Vec<_>>()
                 .join(",")
         }),
     );
     assert!(
-        outcomes.iter().all(|so| so.outcome.healed()),
+        outcomes.iter().all(|(_, outcome)| outcome.healed()),
         "a churn scenario failed to heal in bound"
     );
     println!(

@@ -9,13 +9,11 @@
 #![warn(missing_docs)]
 
 pub mod ablate;
-pub mod churn;
 pub mod fig4;
 pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod joinstorm;
-pub mod live;
 pub mod report;
 pub mod roles;
 pub mod scale;

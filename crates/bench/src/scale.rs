@@ -62,8 +62,8 @@ pub struct ScaleConfig {
     /// Greedy routing pairs sampled per audit pass.
     pub route_samples: usize,
     /// Simulator event-execution workers (`0` = the simulator's choice).
-    /// Any value yields byte-identical results; see `results/scale_par.csv`
-    /// for the measured speedup.
+    /// Any value yields byte-identical results; the `scale` bin's worker
+    /// sweep (`results/scale_traffic.csv`) measures the speedup.
     pub workers: usize,
 }
 
@@ -146,7 +146,8 @@ impl ScaleTrafficResult {
     /// Deterministic artifact digest: every simulator-derived field, floats
     /// as exact bit patterns; wall-clock and RSS excluded. The parallel
     /// engine's contract is that this string does not depend on the worker
-    /// count — `scale_par` and the CI smoke job assert it.
+    /// count — the `scale` bin's worker sweep and
+    /// `tests/par_differential.rs` assert it.
     pub fn digest(&self) -> String {
         format!(
             "n={} sc={} warm_ev={} traffic_ev={} h1={:016x} h2={:016x} fwd={} conns={} cross={} audit={}",

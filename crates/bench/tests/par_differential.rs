@@ -1,11 +1,18 @@
-//! Fig. 8 parallel differential: the full PBS/MEME experiment — PBS head,
-//! NFS traffic, overlay routers under PlanetLab load — digested to a
+//! Parallel differentials over the bench worlds, each digested to a
 //! canonical string and pinned byte-identical across simulator worker
-//! counts. The digest covers every per-job wall clock (exact f64 bit
-//! patterns), per-node job counts, the histogram, the summary statistics
-//! and the transit forwarding totals.
+//! counts:
+//!
+//! * Fig. 8 — the full PBS/MEME experiment (PBS head, NFS traffic, overlay
+//!   routers under PlanetLab load). The digest covers every per-job wall
+//!   clock (exact f64 bit patterns), per-node job counts, the histogram,
+//!   the summary statistics and the transit forwarding totals.
+//! * `scale` — the pre-wired ring (seeded near and far links) under
+//!   hotspot traffic with shortcuts, digested by
+//!   [`ScaleTrafficResult::digest`](wow_bench::scale::ScaleTrafficResult::digest).
 
 use wow_bench::fig8::{run, Fig8Config, Fig8Result};
+use wow_bench::scale::{run_traffic, ScaleConfig};
+use wow_netsim::prelude::SimDuration;
 
 fn digest(r: &Fig8Result) -> String {
     let mut out = String::new();
@@ -55,6 +62,37 @@ fn fig8_digest_is_identical_across_worker_counts() {
         assert_eq!(
             got, reference,
             "workers={workers}: fig8 digest diverged from sequential"
+        );
+    }
+}
+
+#[test]
+fn scale_traffic_digest_is_identical_across_worker_counts() {
+    let base = ScaleConfig {
+        warm: SimDuration::from_secs(10),
+        pairs: 4,
+        traffic: SimDuration::from_secs(10),
+        ..ScaleConfig::at(2_000)
+    };
+    let traffic = |workers| {
+        run_traffic(
+            &ScaleConfig {
+                workers,
+                ..base.clone()
+            },
+            true,
+        )
+    };
+    let reference = traffic(1);
+    assert!(
+        reference.audit_ok && reference.shortcut_crossings > 0,
+        "scale run formed no shortcut or failed its audit — differential would be vacuous"
+    );
+    for workers in [2usize, 4] {
+        assert_eq!(
+            traffic(workers).digest(),
+            reference.digest(),
+            "workers={workers}: scale traffic digest diverged from sequential"
         );
     }
 }

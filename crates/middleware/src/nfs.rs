@@ -510,13 +510,7 @@ impl NfsClient {
         let now = w.now();
         // Retransmit stale RPCs with exponential backoff (hard-mount
         // semantics: retry forever, but never storm a busy server).
-        let stale: Vec<u32> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| now.saturating_since(p.sent_at) >= p.rto)
-            .map(|(&x, _)| x)
-            .collect();
-        for xid in stale {
+        for xid in self.stale_xids(now) {
             self.retransmits += 1;
             let p = self.pending.get_mut(&xid).expect("collected above");
             p.sent_at = now;
@@ -535,6 +529,20 @@ impl NfsClient {
             w.wake_after(TICK, TAG_TICK);
         }
         true
+    }
+
+    /// The RPCs whose timeout has lapsed, in xid order: the map iterates in
+    /// a per-process random order, and the order retransmits reach the wire
+    /// is simulation input.
+    fn stale_xids(&self, now: SimTime) -> Vec<u32> {
+        let mut stale: Vec<u32> = self
+            .pending
+            .iter()
+            .filter(|(_, p)| now.saturating_since(p.sent_at) >= p.rto)
+            .map(|(&x, _)| x)
+            .collect();
+        stale.sort_unstable();
+        stale
     }
 
     fn fill_window(&mut self, w: &mut WsHandle<'_, '_, '_>, transfer: u64) {
@@ -640,6 +648,33 @@ mod tests {
         for rpc in cases {
             assert_eq!(Rpc::decode(rpc.encode()).expect("decodes"), rpc);
         }
+    }
+
+    #[test]
+    fn stale_rpcs_retransmit_in_xid_order() {
+        let mut c = NfsClient::new(VirtIp::testbed(2), 900);
+        for xid in 1..=64 {
+            c.pending.insert(
+                xid,
+                PendingRpc {
+                    transfer: 0,
+                    kind: OpKind::Read,
+                    offset: 0,
+                    len: 0,
+                    sent_at: SimTime::ZERO,
+                    first_sent: SimTime::ZERO,
+                    retries: 0,
+                    // Odd xids time out first.
+                    rto: SimDuration::from_secs(if xid % 2 == 1 { 1 } else { 5 }),
+                },
+            );
+        }
+        let odd: Vec<u32> = (1..=64).filter(|x| x % 2 == 1).collect();
+        assert_eq!(c.stale_xids(SimTime::from_secs(2)), odd);
+        assert_eq!(
+            c.stale_xids(SimTime::from_secs(5)),
+            (1..=64).collect::<Vec<u32>>()
+        );
     }
 
     #[test]

@@ -488,9 +488,10 @@ impl LaneStream {
 }
 
 /// Half the host count at which the simulator runs a second worker.
-/// Measured with `scale_par` on 2 cores: a 5 000-host world runs faster on
-/// 2 workers, a 2 000-host world breaks even and the ~53-host testbed runs
-/// slower (EXPERIMENTS.md "The simulator picks its own worker count").
+/// Measured with the `scale` bin's worker sweep on 2 cores: a 5 000-host
+/// world runs faster on 2 workers, a 2 000-host world breaks even and the
+/// ~53-host testbed runs slower (EXPERIMENTS.md "The simulator picks its
+/// own worker count").
 const HOSTS_PER_WORKER: usize = 2_500;
 
 /// The simulator's worker count for a world of `hosts` hosts on `cores`

@@ -10,6 +10,12 @@ use wow_netsim::time::SimDuration;
 
 use crate::uri::UriOrder;
 
+/// Retries per introducer before a multi-introducer joiner falls through
+/// the cache to the next candidate. Only applies when more than one
+/// introducer is cached; a single introducer keeps the full `link_retries`
+/// budget.
+pub(crate) const INTRODUCER_RETRIES: u32 = 2;
+
 /// Configuration for a [`crate::node::BrunetNode`].
 #[derive(Clone, Debug)]
 pub struct OverlayConfig {
@@ -37,30 +43,11 @@ pub struct OverlayConfig {
     pub stabilize_interval: SimDuration,
     /// Interval of the far-overlord's census.
     pub far_check_interval: SimDuration,
-    /// How long a pending CTM waits before it may be re-issued.
-    pub ctm_timeout: SimDuration,
     /// Delay before a joining node re-sends its self-addressed CTM if no
     /// near connection has formed.
     pub join_retry: SimDuration,
-    /// Retries per introducer before a multi-introducer joiner falls
-    /// through the cache to the next candidate. Only applies when more
-    /// than one introducer is cached; a single introducer keeps the full
-    /// `link_retries` budget.
-    pub introducer_retries: u32,
-    /// Base demotion backoff after a failed introducer; doubles per
-    /// consecutive failure (capped at ×32). Demoted introducers are
-    /// retried last, never dropped from the cache.
-    pub introducer_backoff: SimDuration,
-    /// Upper bound on cached introducers (configured + learned).
-    pub max_introducers: usize,
-    /// Shortcut score added per observed packet (the paper's `a_i` weight).
-    pub shortcut_arrival_weight: f64,
-    /// Shortcut score drained per second (the paper's service rate `c`).
-    pub shortcut_service_rate: f64,
     /// Score threshold above which a shortcut is requested.
     pub shortcut_threshold: f64,
-    /// Shortcut connections are released after this long without traffic.
-    pub shortcut_idle_timeout: SimDuration,
     /// Upper bound on simultaneous shortcut connections (the paper notes
     /// connection maintenance overhead bounds this in practice).
     pub max_shortcuts: usize,
@@ -81,15 +68,8 @@ impl Default for OverlayConfig {
             uri_order: UriOrder::PublicFirst,
             stabilize_interval: SimDuration::from_secs(5),
             far_check_interval: SimDuration::from_secs(10),
-            ctm_timeout: SimDuration::from_secs(15),
             join_retry: SimDuration::from_secs(10),
-            introducer_retries: 2,
-            introducer_backoff: SimDuration::from_secs(30),
-            max_introducers: 16,
-            shortcut_arrival_weight: 1.0,
-            shortcut_service_rate: 1.5,
             shortcut_threshold: 10.0,
-            shortcut_idle_timeout: SimDuration::from_secs(120),
             max_shortcuts: 16,
         }
     }
@@ -110,12 +90,12 @@ impl OverlayConfig {
 
     /// Time a multi-introducer joiner spends on one introducer before
     /// falling through the cache: `Σ link_rto · 2^i for i in
-    /// 0..introducer_retries` (15 s with defaults, vs the 155 s a single
+    /// 0..INTRODUCER_RETRIES` (15 s with defaults, vs the 155 s a single
     /// introducer gets — fallback is the point of carrying several).
     pub fn introducer_abandon_time(&self) -> SimDuration {
         let mut total = SimDuration::ZERO;
         let mut rto = self.link_rto;
-        for _ in 0..self.introducer_retries {
+        for _ in 0..INTRODUCER_RETRIES {
             total += rto;
             rto = rto.saturating_double();
         }

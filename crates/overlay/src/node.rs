@@ -52,7 +52,7 @@ use wow_netsim::time::{SimDuration, SimTime};
 
 use crate::addr::Address;
 use crate::bootstrap::{BootstrapManager, JoinState};
-use crate::config::OverlayConfig;
+use crate::config::{OverlayConfig, INTRODUCER_RETRIES};
 use crate::conn::{ConnTable, ConnType, NextHop};
 use crate::driver::{NodeEvent, NodeSink};
 use crate::linking::{LinkCmd, LinkingManager};
@@ -69,6 +69,17 @@ pub const WILDCARD: Address = Address([0; 20]);
 /// Housekeeping cadence (pending-CTM expiry, shortcut idle checks, join
 /// retries are evaluated at this granularity).
 const HOUSEKEEPING: SimDuration = SimDuration::from_secs(2);
+
+/// How long a pending CTM waits before it may be re-issued.
+const CTM_TIMEOUT: SimDuration = SimDuration::from_secs(15);
+
+/// Base demotion backoff after a failed introducer; doubles per
+/// consecutive failure (capped at ×32). Demoted introducers are retried
+/// last, never dropped from the cache.
+const INTRODUCER_BACKOFF: SimDuration = SimDuration::from_secs(30);
+
+/// Upper bound on cached introducers (configured + learned).
+const MAX_INTRODUCERS: usize = 16;
 
 /// Counters exposed for experiments and tests.
 #[derive(Clone, Copy, Debug, Default)]
@@ -230,7 +241,7 @@ impl BrunetNode {
     /// budget (`tests/driver_differential.rs` pins that transcript's
     /// digest). With several introducers cached it funnels
     /// through one seeded-random candidate at a time on the short
-    /// `introducer_retries` budget, falling through the cache on failure.
+    /// `INTRODUCER_RETRIES` budget, falling through the cache on failure.
     fn try_bootstrap<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
         if self.bootstrap.is_empty() || self.linking.has_attempt(WILDCARD) {
             return;
@@ -250,7 +261,7 @@ impl BrunetNode {
                 WILDCARD,
                 ConnType::Leaf,
                 vec![uri],
-                Some(self.cfg.introducer_retries),
+                Some(INTRODUCER_RETRIES),
             );
         }
         self.drive_linking(now, sink);
@@ -626,8 +637,7 @@ impl BrunetNode {
                         if c.types.contains(ConnType::StructuredNear) {
                             sink.count(Counter::NearLost);
                         }
-                        self.pinger.untrack(from);
-                        sink.event(NodeEvent::Disconnected { peer: from });
+                        self.forget_peer(from, sink);
                     }
                 }
             },
@@ -935,7 +945,7 @@ impl BrunetNode {
             // remember it, so the cache survives introducer loss (and a
             // seed node with an empty configured list can still rejoin).
             self.bootstrap
-                .learn(TransportUri::udp(remote), self.cfg.max_introducers);
+                .learn(TransportUri::udp(remote), MAX_INTRODUCERS);
         }
         if outcome.new_role {
             if ctype == ConnType::StructuredNear {
@@ -958,6 +968,20 @@ impl BrunetNode {
         if ctype == ConnType::Leaf && self.leaf_peer.is_none() {
             self.leaf_peer = Some(peer);
             self.send_join_ctm(now, sink);
+        }
+    }
+
+    /// The one teardown for a peer whose connection is gone — keepalive
+    /// timeout, its `NotConnected`, or our own trim: stop pinging it,
+    /// report the disconnect and free the leaf slot. A joiner that kept a
+    /// dead leaf would route every join retry into a relay it no longer
+    /// holds, and `Rebootstrap` waits for an empty slot, so it would never
+    /// dial an introducer again.
+    fn forget_peer<S: NodeSink + ?Sized>(&mut self, peer: Address, sink: &mut S) {
+        self.pinger.untrack(peer);
+        sink.event(NodeEvent::Disconnected { peer });
+        if self.leaf_peer == Some(peer) {
+            self.leaf_peer = None;
         }
     }
 
@@ -1152,7 +1176,7 @@ impl BrunetNode {
             PendingCtm {
                 target,
                 ctype,
-                expires: now + self.cfg.ctm_timeout,
+                expires: now + CTM_TIMEOUT,
             },
         );
         token
@@ -1251,8 +1275,7 @@ impl BrunetNode {
                         // attempt cannot fail on its first poll, so the
                         // recursion terminates.
                         if let Some(uri) = self.current_introducer.take() {
-                            self.bootstrap
-                                .record_failure(uri, now, self.cfg.introducer_backoff);
+                            self.bootstrap.record_failure(uri, now, INTRODUCER_BACKOFF);
                         }
                         if self.bootstrap.len() > 1 {
                             sink.count(Counter::IntroducerFallback);
@@ -1293,10 +1316,7 @@ impl BrunetNode {
                             sink.count(Counter::NearLost);
                         }
                         sink.count(Counter::PeerDead);
-                        sink.event(NodeEvent::Disconnected { peer });
-                        if self.leaf_peer == Some(peer) {
-                            self.leaf_peer = None;
-                        }
+                        self.forget_peer(peer, sink);
                     }
                 }
             }
@@ -1356,11 +1376,7 @@ impl BrunetNode {
                     }
                     let remote = self.conns.get(peer).map(|c| c.remote);
                     if self.conns.remove_role(peer, ctype) {
-                        self.pinger.untrack(peer);
-                        sink.event(NodeEvent::Disconnected { peer });
-                        if self.leaf_peer == Some(peer) {
-                            self.leaf_peer = None;
-                        }
+                        self.forget_peer(peer, sink);
                         // Tell the peer it was dropped so it sheds its half
                         // too. A silent trim leaves the peer with a one-way
                         // connection: its queries and probes to us go
@@ -1408,7 +1424,7 @@ impl BrunetNode {
         self.pending_ctm.retain(|_, p| p.expires > now);
         // Shortcut idle release.
         let mut cmds = Vec::new();
-        self.shortcut.poll(now, &self.conns, &self.cfg, &mut cmds);
+        self.shortcut.poll(now, &self.conns, &mut cmds);
         self.exec_overlord_cmds(now, cmds, sink);
         // Join retry: not yet routable and the retry timer elapsed.
         if !self.is_routable() && now >= self.next_join_attempt {
@@ -1860,6 +1876,55 @@ mod tests {
         assert!(!n.has_direct(a(200)));
         assert!(sk.take_events().iter().any(|x| matches!(x,
             NodeEvent::Disconnected { peer } if *peer == a(200))));
+    }
+
+    #[test]
+    fn leaf_not_connected_sends_the_joiner_back_to_its_introducers() {
+        // A joiner's only link is its leaf. The leaf restarts clean-slate
+        // and answers our keepalive with NotConnected; the dead leaf can
+        // relay no join CTM, so the join retry must dial the introducers.
+        let (mut n, mut sk) = started(a(100), vec![uri(9, 4000)]);
+        n.on_datagram(
+            T0 + SimDuration::from_millis(50),
+            ep(9, 4000),
+            Frame::Link(LinkMsg::LinkReply {
+                from: a(500),
+                attempt: 0,
+                observed: ep(77, 1234),
+            })
+            .encode(),
+            &mut sk,
+        );
+        let lost = T0 + SimDuration::from_secs(1);
+        n.on_datagram(
+            lost,
+            ep(9, 4000),
+            Frame::Link(LinkMsg::LinkError {
+                from: a(500),
+                attempt: 0,
+                reason: LinkErrorReason::NotConnected,
+            })
+            .encode(),
+            &mut sk,
+        );
+        assert!(!n.has_direct(a(500)));
+        sk.clear();
+        let bound = lost + n.config().join_retry + HOUSEKEEPING;
+        let mut rejoined = false;
+        for _ in 0..64 {
+            let Some(t) = n.next_deadline().filter(|&t| t <= bound) else {
+                break;
+            };
+            n.on_tick(t, &mut sk);
+            rejoined |= sk.take_sends().iter().any(|(to, f)| {
+                *to == ep(9, 4000)
+                    && matches!(f, Frame::Link(LinkMsg::LinkRequest { target, .. }) if *target == WILDCARD)
+            });
+        }
+        assert!(
+            rejoined,
+            "no wildcard link request within one join retry plus one housekeeping tick"
+        );
     }
 
     #[test]

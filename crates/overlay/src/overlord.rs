@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use rand::Rng;
 
-use wow_netsim::time::SimTime;
+use wow_netsim::time::{SimDuration, SimTime};
 
 use crate::addr::{sample_far_target, Address};
 use crate::config::OverlayConfig;
@@ -236,6 +236,13 @@ struct ScoreEntry {
     last_update: SimTime,
 }
 
+/// Shortcut score added per observed packet (the paper's `a_i` weight).
+const SHORTCUT_ARRIVAL_WEIGHT: f64 = 1.0;
+/// Shortcut score drained per second (the paper's service rate `c`).
+const SHORTCUT_SERVICE_RATE: f64 = 1.5;
+/// Shortcut connections are released after this long without traffic.
+const SHORTCUT_IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(120);
+
 /// Traffic-driven shortcut creation (§IV-E).
 #[derive(Debug, Default)]
 pub struct ShortcutOverlord {
@@ -251,12 +258,12 @@ impl ShortcutOverlord {
     }
 
     /// Current score for a destination (after decay to `now`).
-    pub fn score(&self, peer: Address, now: SimTime, cfg: &OverlayConfig) -> f64 {
+    pub fn score(&self, peer: Address, now: SimTime) -> f64 {
         self.scores
             .get(&peer)
             .map(|e| {
                 let dt = now.saturating_since(e.last_update).as_secs_f64();
-                (e.score - cfg.shortcut_service_rate * dt).max(0.0)
+                (e.score - SHORTCUT_SERVICE_RATE * dt).max(0.0)
             })
             .unwrap_or(0.0)
     }
@@ -271,27 +278,21 @@ impl ShortcutOverlord {
         });
         // The paper's virtual work queue: drain at rate c, add the arrival.
         let dt = now.saturating_since(e.last_update).as_secs_f64();
-        e.score = (e.score - cfg.shortcut_service_rate * dt).max(0.0) + cfg.shortcut_arrival_weight;
+        e.score = (e.score - SHORTCUT_SERVICE_RATE * dt).max(0.0) + SHORTCUT_ARRIVAL_WEIGHT;
         e.last_update = now;
         self.last_traffic.insert(peer, now);
         e.score >= cfg.shortcut_threshold
     }
 
     /// Periodic housekeeping: release idle shortcuts, forget stale scores.
-    pub fn poll(
-        &mut self,
-        now: SimTime,
-        conns: &ConnTable,
-        cfg: &OverlayConfig,
-        out: &mut Vec<OverlordCmd>,
-    ) {
+    pub fn poll(&mut self, now: SimTime, conns: &ConnTable, out: &mut Vec<OverlordCmd>) {
         for c in conns.with_type(ConnType::Shortcut) {
             let last = self
                 .last_traffic
                 .get(&c.peer)
                 .copied()
                 .unwrap_or(c.established_at);
-            if now.saturating_since(last) >= cfg.shortcut_idle_timeout {
+            if now.saturating_since(last) >= SHORTCUT_IDLE_TIMEOUT {
                 out.push(OverlordCmd::DropRole {
                     peer: c.peer,
                     ctype: ConnType::Shortcut,
@@ -300,11 +301,11 @@ impl ShortcutOverlord {
         }
         // Forget score entries that have fully drained and gone quiet;
         // keeps the table bounded by the node's active working set.
-        let horizon = cfg.shortcut_idle_timeout;
+        let horizon = SHORTCUT_IDLE_TIMEOUT;
         self.scores.retain(|_peer, e| {
             let quiet = now.saturating_since(e.last_update) >= horizon;
             let drained = (e.score
-                - cfg.shortcut_service_rate * now.saturating_since(e.last_update).as_secs_f64())
+                - SHORTCUT_SERVICE_RATE * now.saturating_since(e.last_update).as_secs_f64())
                 <= 0.0;
             !(quiet && drained)
         });
@@ -534,13 +535,13 @@ mod tests {
         for _ in 0..5 {
             sc.on_traffic(T0, a(1), &c);
         }
-        assert!((sc.score(a(1), T0, &c) - 5.0).abs() < 1e-9);
+        assert!((sc.score(a(1), T0) - 5.0).abs() < 1e-9);
         // Two seconds later, 3 units have drained.
         let t2 = T0 + SimDuration::from_secs(2);
-        assert!((sc.score(a(1), t2, &c) - 2.0).abs() < 1e-9);
+        assert!((sc.score(a(1), t2) - 2.0).abs() < 1e-9);
         // Long idle: floors at zero.
         let t9 = T0 + SimDuration::from_secs(9);
-        assert_eq!(sc.score(a(1), t9, &c), 0.0);
+        assert_eq!(sc.score(a(1), t9), 0.0);
     }
 
     #[test]
@@ -576,9 +577,9 @@ mod tests {
         conns.upsert(a(1), ConnType::Shortcut, ep(1), T0);
         sc.on_traffic(T0, a(1), &c);
         let mut out = Vec::new();
-        sc.poll(T0 + SimDuration::from_secs(60), &conns, &c, &mut out);
+        sc.poll(T0 + SimDuration::from_secs(60), &conns, &mut out);
         assert!(out.is_empty(), "not idle yet");
-        sc.poll(T0 + SimDuration::from_secs(121), &conns, &c, &mut out);
+        sc.poll(T0 + SimDuration::from_secs(121), &conns, &mut out);
         assert_eq!(
             out,
             vec![OverlordCmd::DropRole {
@@ -606,7 +607,7 @@ mod tests {
         }
         let conns = ConnTable::new();
         let mut out = Vec::new();
-        sc.poll(T0 + SimDuration::from_secs(300), &conns, &c, &mut out);
+        sc.poll(T0 + SimDuration::from_secs(300), &conns, &mut out);
         assert_eq!(sc.scores.len(), 0);
         assert_eq!(sc.last_traffic.len(), 0);
     }

@@ -194,7 +194,11 @@ impl NetStack {
 
     /// Drive connection timers.
     pub fn on_tick(&mut self, now: SimTime) {
-        let socks: Vec<SocketId> = self.conns.keys().copied().collect();
+        // In socket order: the map iterates in a per-process random order,
+        // and the order connections emit their timer-driven segments is
+        // simulation input.
+        let mut socks: Vec<SocketId> = self.conns.keys().copied().collect();
+        socks.sort_unstable();
         for sock in socks {
             if let Some(e) = self.conns.get_mut(&sock) {
                 e.conn.on_tick(now);
@@ -565,6 +569,22 @@ mod tests {
                 a.on_ip(now, p);
             }
         }
+    }
+
+    #[test]
+    fn timer_retransmits_leave_in_socket_order() {
+        let (mut a, b) = pair();
+        for _ in 0..16 {
+            a.tcp_connect(T0, b.ip(), 80);
+        }
+        assert_eq!(a.take_packets().len(), 16, "first SYNs, all lost");
+        a.on_tick(SimTime::from_secs(2));
+        let src_ports: Vec<u16> = a
+            .take_packets()
+            .iter()
+            .map(|p| u16::from_be_bytes([p.payload[0], p.payload[1]]))
+            .collect();
+        assert_eq!(src_ports, (32_768..32_784).collect::<Vec<u16>>());
     }
 
     #[test]

@@ -181,6 +181,13 @@ pub enum TcpEvent {
     Writable,
 }
 
+/// Lower bound on the retransmission timeout.
+const MIN_RTO: SimDuration = SimDuration::from_millis(200);
+/// Upper bound on the (backed-off) retransmission timeout.
+const MAX_RTO: SimDuration = SimDuration::from_secs(60);
+/// TIME_WAIT duration.
+const TIME_WAIT: SimDuration = SimDuration::from_secs(30);
+
 /// Tunables.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
@@ -188,16 +195,10 @@ pub struct TcpConfig {
     pub recv_capacity: usize,
     /// Send buffer capacity.
     pub send_capacity: usize,
-    /// Lower bound on the retransmission timeout.
-    pub min_rto: SimDuration,
-    /// Upper bound on the (backed-off) retransmission timeout.
-    pub max_rto: SimDuration,
     /// Consecutive retransmissions of one segment before giving up. With
     /// the 60 s RTO cap, 40 retries ≈ half an hour of persistence — enough
     /// to ride out a WAN VM migration.
     pub max_retries: u32,
-    /// TIME_WAIT duration.
-    pub time_wait: SimDuration,
     /// Initial congestion window in segments.
     pub initial_cwnd_segments: usize,
 }
@@ -207,10 +208,7 @@ impl Default for TcpConfig {
         TcpConfig {
             recv_capacity: 256 * 1024,
             send_capacity: 256 * 1024,
-            min_rto: SimDuration::from_millis(200),
-            max_rto: SimDuration::from_secs(60),
             max_retries: 40,
-            time_wait: SimDuration::from_secs(30),
             initial_cwnd_segments: 2,
         }
     }
@@ -324,7 +322,6 @@ impl TcpConn {
 
     fn raw(local_port: u16, remote_port: u16, iss: u32, cfg: TcpConfig) -> Self {
         let cwnd = (cfg.initial_cwnd_segments * MSS) as f64;
-        let min_rto = cfg.min_rto;
         TcpConn {
             cfg,
             state: TcpState::Closed,
@@ -339,7 +336,7 @@ impl TcpConn {
             ssthresh: f64::INFINITY,
             srtt: None,
             rttvar: 0.0,
-            rto: min_rto.max(SimDuration::from_secs(1)),
+            rto: MIN_RTO.max(SimDuration::from_secs(1)),
             rtx_deadline: None,
             rtx_count: 0,
             dup_acks: 0,
@@ -520,7 +517,7 @@ impl TcpConn {
             return;
         }
         // Back off and retransmit the oldest outstanding item.
-        self.rto = self.rto.saturating_double().min(self.cfg.max_rto);
+        self.rto = self.rto.saturating_double().min(MAX_RTO);
         self.rtt_probe = None; // Karn: no sampling across retransmits
         self.ssthresh = (self.bytes_in_flight() as f64 / 2.0).max((2 * MSS) as f64);
         self.cwnd = MSS as f64;
@@ -804,7 +801,7 @@ impl TcpConn {
                         let rto = SimDuration::from_secs_f64(
                             self.srtt.expect("just set") + 4.0 * self.rttvar,
                         );
-                        self.rto = rto.max(self.cfg.min_rto).min(self.cfg.max_rto);
+                        self.rto = rto.max(MIN_RTO).min(MAX_RTO);
                     }
                 }
                 // Congestion control.
@@ -831,7 +828,7 @@ impl TcpConn {
                             TcpState::FinWait1 => self.state = TcpState::FinWait2,
                             TcpState::Closing => {
                                 self.state = TcpState::TimeWait;
-                                self.time_wait_until = Some(now + self.cfg.time_wait);
+                                self.time_wait_until = Some(now + TIME_WAIT);
                             }
                             TcpState::LastAck => {
                                 self.state = TcpState::Closed;
@@ -873,7 +870,7 @@ impl TcpConn {
                     TcpState::FinWait1 => self.state = TcpState::Closing,
                     TcpState::FinWait2 => {
                         self.state = TcpState::TimeWait;
-                        self.time_wait_until = Some(now + self.cfg.time_wait);
+                        self.time_wait_until = Some(now + TIME_WAIT);
                     }
                     _ => {}
                 }
@@ -1302,6 +1299,6 @@ mod tests {
             "rto {:?} did not adapt downwards",
             c.rto
         );
-        assert!(c.rto >= c.cfg.min_rto);
+        assert!(c.rto >= MIN_RTO);
     }
 }
