@@ -5,13 +5,30 @@
 //! log-uniform distances (the small-world distribution of Kleinberg that
 //! the paper cites for its O((1/k)·log²n) hop bound).
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use rand::Rng;
 
 /// A 160-bit overlay address, big-endian.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Address(pub [u8; 20]);
+
+/// Orders as the 160-bit integer — three limb compares instead of the
+/// `memcmp` a derived byte-array order calls. Big-endian limbs make this
+/// exactly the order of the bytes, so every sorted table, ordered set and
+/// tie-break is unchanged.
+impl Ord for Address {
+    fn cmp(&self, other: &Self) -> Ordering {
+        U160::from(*self).cmp(&U160::from(*other))
+    }
+}
+
+impl PartialOrd for Address {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl Address {
     /// The zero address.

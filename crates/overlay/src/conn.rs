@@ -288,32 +288,31 @@ impl ConnTable {
 
     /// The `count` nearest structured-connected peers clockwise of `from`
     /// (excluding `from` itself), nearest first.
+    ///
+    /// Walks the sorted ring index forward from `from`'s position, wrapping
+    /// once: O(log n + count). Addresses are distinct, so index order past
+    /// `from` is exactly increasing clockwise distance.
     pub fn nearest_cw(&self, from: Address, count: usize) -> Vec<Address> {
-        let mut peers: Vec<Address> = self
-            .conns
-            .iter()
-            .filter(|c| c.types.is_structured())
-            .map(|c| c.peer)
+        let n = self.structured.len();
+        let start = self.structured.partition_point(|&p| p <= from);
+        (0..n)
+            .map(|k| self.structured[(start + k) % n])
             .filter(|&p| p != from)
-            .collect();
-        peers.sort_by_key(|&p| from.dist_cw(p));
-        peers.truncate(count);
-        peers
+            .take(count)
+            .collect()
     }
 
     /// The `count` nearest structured-connected peers counter-clockwise of
-    /// `from`, nearest first.
+    /// `from`, nearest first: the index walked backward from `from`'s
+    /// position, as [`ConnTable::nearest_cw`] walks it forward.
     pub fn nearest_ccw(&self, from: Address, count: usize) -> Vec<Address> {
-        let mut peers: Vec<Address> = self
-            .conns
-            .iter()
-            .filter(|c| c.types.is_structured())
-            .map(|c| c.peer)
+        let n = self.structured.len();
+        let end = self.structured.partition_point(|&p| p < from);
+        (1..=n)
+            .map(|k| self.structured[(end + n - k) % n])
             .filter(|&p| p != from)
-            .collect();
-        peers.sort_by_key(|&p| p.dist_cw(from));
-        peers.truncate(count);
-        peers
+            .take(count)
+            .collect()
     }
 
     /// Greedy next hop for a packet addressed to `dst`, from a node whose
@@ -635,6 +634,94 @@ mod tests {
                 .find(|c| joiner && c.types.contains(ConnType::Leaf) && !exclude.contains(&c.peer))
         };
         best.or_else(gateway).map_or(NextHop::Local, NextHop::Relay)
+    }
+
+    /// Oracle: the collect-and-sort [`ConnTable::nearest_cw`] replaced.
+    fn nearest_cw_sort(t: &ConnTable, from: Address, count: usize) -> Vec<Address> {
+        let mut peers: Vec<Address> = t
+            .conns
+            .iter()
+            .filter(|c| c.types.is_structured())
+            .map(|c| c.peer)
+            .filter(|&p| p != from)
+            .collect();
+        peers.sort_by_key(|&p| from.dist_cw(p));
+        peers.truncate(count);
+        peers
+    }
+
+    /// Oracle: the collect-and-sort [`ConnTable::nearest_ccw`] replaced.
+    fn nearest_ccw_sort(t: &ConnTable, from: Address, count: usize) -> Vec<Address> {
+        let mut peers: Vec<Address> = t
+            .conns
+            .iter()
+            .filter(|c| c.types.is_structured())
+            .map(|c| c.peer)
+            .filter(|&p| p != from)
+            .collect();
+        peers.sort_by_key(|&p| p.dist_cw(from));
+        peers.truncate(count);
+        peers
+    }
+
+    /// The index walks must return exactly what sorting every structured
+    /// peer by ring distance returns, on random tables with leaves
+    /// interleaved, `from` in the table and not, `count` of 0, 1, up to and
+    /// past the table size, and an empty index (leaves only, or nothing).
+    #[test]
+    fn nearest_walks_agree_with_sort_on_random_tables() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+
+        let types = [
+            ConnType::Leaf,
+            ConnType::StructuredNear,
+            ConnType::StructuredFar,
+            ConnType::Shortcut,
+        ];
+        let mut rng = SmallRng::seed_from_u64(0x5EED_0A11);
+        let mut empty_index = 0;
+        for _case in 0..400 {
+            let mut t = ConnTable::new();
+            let universe = rng.gen_range(1u64..48);
+            for _ in 0..rng.gen_range(0usize..24) {
+                let peer = a(rng.gen_range(0..universe));
+                let ty = types[rng.gen_range(0..types.len())];
+                t.upsert(peer, ty, ep(rng.gen_range(1u16..9999)), T0);
+            }
+            for _ in 0..rng.gen_range(0usize..6) {
+                let peer = a(rng.gen_range(0..universe));
+                if rng.gen_bool(0.5) {
+                    t.remove_role(peer, types[rng.gen_range(0..types.len())]);
+                } else {
+                    t.remove(peer);
+                }
+            }
+            empty_index += usize::from(t.structured.is_empty());
+            let n = t.structured.len();
+            for _query in 0..20 {
+                // A table member (present), a point of the universe (often
+                // absent, between members), or anywhere on the ring.
+                let from = match (rng.gen_range(0u8..3), t.conns.len()) {
+                    (0, len) if len > 0 => t.conns[rng.gen_range(0..len)].peer,
+                    (1, _) => a(rng.gen_range(0..universe + 2)),
+                    _ => Address::random(&mut rng),
+                };
+                for count in [0, 1, 2, n, n + 3] {
+                    assert_eq!(
+                        t.nearest_cw(from, count),
+                        nearest_cw_sort(&t, from, count),
+                        "cw from={from:?} count={count}"
+                    );
+                    assert_eq!(
+                        t.nearest_ccw(from, count),
+                        nearest_ccw_sort(&t, from, count),
+                        "ccw from={from:?} count={count}"
+                    );
+                }
+            }
+        }
+        assert!(empty_index > 0, "no case had an empty index");
     }
 
     /// The reverse (endpoint → peer) index must agree with the linear-scan

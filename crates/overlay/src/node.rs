@@ -775,14 +775,16 @@ impl BrunetNode {
             self.deliver_local(now, pkt, false, sink);
             return;
         }
-        let mut excludes: Vec<Address> = Vec::with_capacity(2);
-        if let Some(e) = exclude {
-            excludes.push(e);
+        let mut excludes = [Address::ZERO; 2];
+        let mut n_excludes = 0;
+        for e in [exclude, probe_exclude].into_iter().flatten() {
+            excludes[n_excludes] = e;
+            n_excludes += 1;
         }
-        if let Some(e) = probe_exclude {
-            excludes.push(e);
-        }
-        match self.conns.next_hop(self.addr, pkt.dst, &excludes) {
+        match self
+            .conns
+            .next_hop(self.addr, pkt.dst, &excludes[..n_excludes])
+        {
             NextHop::Relay(c) => {
                 if pkt.hops >= pkt.ttl {
                     self.stats.dropped_ttl += 1;

@@ -10,7 +10,7 @@
 //! tags, no self-description. Decoding is total — any byte string either
 //! yields a frame or a [`WireError`]; malformed input can never panic.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use wow_netsim::addr::{PhysAddr, PhysIp};
 
 use crate::addr::Address;
@@ -217,16 +217,25 @@ impl std::error::Error for WireError {}
 
 // ---------- encoding ----------
 
-fn put_address(buf: &mut BytesMut, a: Address) {
+/// Encoded sizes of the fixed-width fields.
+const ADDRESS_LEN: usize = 20;
+const PHYS_ADDR_LEN: usize = 4 + 2;
+const URI_LEN: usize = 1 + PHYS_ADDR_LEN;
+
+fn uris_len(uris: &[TransportUri]) -> usize {
+    1 + uris.len() * URI_LEN
+}
+
+fn put_address(buf: &mut impl BufMut, a: Address) {
     buf.put_slice(&a.0);
 }
 
-fn put_phys_addr(buf: &mut BytesMut, a: PhysAddr) {
+fn put_phys_addr(buf: &mut impl BufMut, a: PhysAddr) {
     buf.put_u32(a.ip.0);
     buf.put_u16(a.port);
 }
 
-fn put_uri(buf: &mut BytesMut, u: TransportUri) {
+fn put_uri(buf: &mut impl BufMut, u: TransportUri) {
     buf.put_u8(match u.scheme {
         Scheme::Udp => 0,
         Scheme::Tcp => 1,
@@ -234,7 +243,7 @@ fn put_uri(buf: &mut BytesMut, u: TransportUri) {
     put_phys_addr(buf, u.addr);
 }
 
-fn put_uris(buf: &mut BytesMut, uris: &[TransportUri]) {
+fn put_uris(buf: &mut impl BufMut, uris: &[TransportUri]) {
     debug_assert!(uris.len() <= MAX_URIS);
     buf.put_u8(uris.len() as u8);
     for &u in uris {
@@ -243,20 +252,29 @@ fn put_uris(buf: &mut BytesMut, uris: &[TransportUri]) {
 }
 
 impl Frame {
-    /// Encode to bytes.
+    /// Encode to bytes: one exact-size allocation, written in place.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(64);
-        match self {
-            Frame::Link(m) => {
-                buf.put_u8(0);
-                m.encode_into(&mut buf);
+        Bytes::from_fill(self.encoded_len(), |mut buf| {
+            match self {
+                Frame::Link(m) => {
+                    buf.put_u8(0);
+                    m.encode_into(&mut buf);
+                }
+                Frame::Routed(p) => {
+                    buf.put_u8(1);
+                    p.encode_into(&mut buf);
+                }
             }
-            Frame::Routed(p) => {
-                buf.put_u8(1);
-                p.encode_into(&mut buf);
-            }
+            debug_assert!(buf.is_empty(), "encoded_len overcounts");
+        })
+    }
+
+    /// The exact length of [`Frame::encode`]'s output.
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            Frame::Link(m) => m.encoded_len(),
+            Frame::Routed(p) => p.encoded_len(),
         }
-        buf.freeze()
     }
 
     /// Decode from bytes.
@@ -274,7 +292,20 @@ impl Frame {
 }
 
 impl LinkMsg {
-    fn encode_into(&self, buf: &mut BytesMut) {
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            LinkMsg::LinkRequest { .. } => 2 * ADDRESS_LEN + 1 + 8,
+            LinkMsg::LinkReply { .. } | LinkMsg::Pong { .. } => ADDRESS_LEN + 8 + PHYS_ADDR_LEN,
+            LinkMsg::LinkError { .. } => ADDRESS_LEN + 8 + 1,
+            LinkMsg::Ping { .. } => ADDRESS_LEN + 8,
+            LinkMsg::NeighborQuery { .. } => ADDRESS_LEN,
+            LinkMsg::NeighborReply { neighbors, .. } => {
+                ADDRESS_LEN + PHYS_ADDR_LEN + 1 + neighbors.len() * ADDRESS_LEN
+            }
+        }
+    }
+
+    fn encode_into(&self, buf: &mut impl BufMut) {
         match self {
             LinkMsg::LinkRequest {
                 from,
@@ -397,7 +428,19 @@ impl LinkMsg {
 }
 
 impl Packet {
-    fn encode_into(&self, buf: &mut BytesMut) {
+    fn encoded_len(&self) -> usize {
+        let header = 2 * ADDRESS_LEN + 3 + 1;
+        header
+            + match &self.body {
+                Body::CtmRequest {
+                    uris, reply_relay, ..
+                } => 8 + 1 + uris_len(uris) + 1 + reply_relay.map_or(0, |_| ADDRESS_LEN),
+                Body::CtmReply { uris, .. } => 8 + ADDRESS_LEN + uris_len(uris) + ADDRESS_LEN,
+                Body::App { data, .. } => 1 + 4 + data.len(),
+            }
+    }
+
+    fn encode_into(&self, buf: &mut impl BufMut) {
         put_address(buf, self.src);
         put_address(buf, self.dst);
         buf.put_u8(self.hops);
@@ -624,11 +667,10 @@ impl RoutedHeader {
                 buf[routed_layout::HOPS] = hops;
                 frame
             }
-            None => {
-                let mut copy = BytesMut::from(&frame[..]);
+            None => Bytes::from_fill(frame.len(), |copy| {
+                copy.copy_from_slice(&frame);
                 copy[routed_layout::HOPS] = hops;
-                copy.freeze()
-            }
+            }),
         }
     }
 }
@@ -702,6 +744,7 @@ fn get_uris(b: &mut Bytes) -> Result<Vec<TransportUri>, WireError> {
 mod tests {
     use super::*;
     use crate::addr::U160;
+    use bytes::BytesMut;
 
     fn a(v: u64) -> Address {
         Address::from(U160::from(v))

@@ -2,6 +2,8 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 use wow_netsim::addr::{PhysAddr, PhysIp};
 use wow_overlay::addr::{Address, U160};
@@ -175,6 +177,143 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
     ]
 }
 
+/// One frame of every shape, `i` choosing the shape, `rng` the fields —
+/// the seeded corpus whose encoded bytes `frame_corpus_bytes_are_pinned`
+/// hashes.
+fn corpus_frame(rng: &mut SmallRng, i: usize) -> Frame {
+    let addr = |rng: &mut SmallRng| Address::random(rng);
+    let phys = |rng: &mut SmallRng| PhysAddr::new(PhysIp(rng.gen()), rng.gen());
+    let ctype = |rng: &mut SmallRng| ConnType::from_wire_id(rng.gen_range(0..4u8)).unwrap();
+    let uris = |rng: &mut SmallRng| -> Vec<TransportUri> {
+        (0..rng.gen_range(0..6usize))
+            .map(|_| TransportUri {
+                scheme: if rng.gen_bool(0.5) {
+                    Scheme::Udp
+                } else {
+                    Scheme::Tcp
+                },
+                addr: phys(rng),
+            })
+            .collect()
+    };
+    let link = |m: LinkMsg| Frame::Link(m);
+    match i % 10 {
+        0 => link(LinkMsg::LinkRequest {
+            from: addr(rng),
+            target: addr(rng),
+            ctype: ctype(rng),
+            attempt: rng.gen(),
+        }),
+        1 => link(LinkMsg::LinkReply {
+            from: addr(rng),
+            attempt: rng.gen(),
+            observed: phys(rng),
+        }),
+        2 => link(LinkMsg::LinkError {
+            from: addr(rng),
+            attempt: rng.gen(),
+            reason: [
+                LinkErrorReason::InRace,
+                LinkErrorReason::WrongNode,
+                LinkErrorReason::NotConnected,
+            ][rng.gen_range(0..3usize)],
+        }),
+        3 => link(LinkMsg::Ping {
+            from: addr(rng),
+            nonce: rng.gen(),
+        }),
+        4 => link(LinkMsg::Pong {
+            from: addr(rng),
+            nonce: rng.gen(),
+            observed: phys(rng),
+        }),
+        5 => link(LinkMsg::NeighborQuery { from: addr(rng) }),
+        6 => link(LinkMsg::NeighborReply {
+            from: addr(rng),
+            neighbors: (0..rng.gen_range(0..9usize)).map(|_| addr(rng)).collect(),
+            observed: phys(rng),
+        }),
+        shape => {
+            let body = match shape {
+                7 => Body::CtmRequest {
+                    token: rng.gen(),
+                    ctype: ctype(rng),
+                    uris: uris(rng),
+                    reply_relay: if rng.gen_bool(0.5) {
+                        Some(addr(rng))
+                    } else {
+                        None
+                    },
+                },
+                8 => Body::CtmReply {
+                    token: rng.gen(),
+                    responder: addr(rng),
+                    uris: uris(rng),
+                    for_node: addr(rng),
+                },
+                _ => {
+                    let mut data = vec![0u8; rng.gen_range(0..1500usize)];
+                    rng.fill(&mut data[..]);
+                    Body::App {
+                        proto: rng.gen(),
+                        data: Bytes::from(data),
+                    }
+                }
+            };
+            Frame::Routed(Packet {
+                src: addr(rng),
+                dst: addr(rng),
+                hops: rng.gen(),
+                ttl: rng.gen(),
+                edge_forwarded: rng.gen_bool(0.5),
+                body,
+            })
+        }
+    }
+}
+
+/// The bytes on the wire are a compatibility contract: a seeded corpus of
+/// every frame shape must keep encoding to exactly the bytes it always has.
+/// FNV-1a over each frame's length and bytes, pinned.
+#[test]
+fn frame_corpus_bytes_are_pinned() {
+    let mut rng = SmallRng::seed_from_u64(0x00F1_A3E5);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut total = 0usize;
+    for i in 0..2000 {
+        let wire = corpus_frame(&mut rng, i).encode();
+        total += wire.len();
+        for &b in (wire.len() as u32).to_be_bytes().iter().chain(wire.iter()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    assert_eq!(total, 275_698, "corpus size");
+    assert_eq!(h, 0x14A5_9F1B_0B08_DAE9, "corpus bytes changed");
+}
+
+/// Addresses order as 160-bit big-endian integers, which is exactly the
+/// order of their bytes — at the edges: all-zero, all-`FF`, and every
+/// single-byte difference from each.
+#[test]
+fn address_order_edges_match_byte_order() {
+    let zero = Address([0; 20]);
+    let ones = Address([0xFF; 20]);
+    let mut cases = vec![(zero, ones), (ones, zero), (zero, zero), (ones, ones)];
+    for i in 0..20 {
+        for (base, byte) in [(zero, 1u8), (zero, 0x80), (ones, 0xFE), (ones, 0x7F)] {
+            let mut b = base;
+            b.0[i] = byte;
+            cases.push((base, b));
+            cases.push((b, base));
+        }
+    }
+    for (a, b) in cases {
+        assert_eq!(a.cmp(&b), a.0.cmp(&b.0), "{a} vs {b}");
+        assert_eq!(a.partial_cmp(&b), Some(a.0.cmp(&b.0)), "{a} vs {b}");
+    }
+}
+
 proptest! {
     /// encode → decode is the identity for every representable frame.
     #[test]
@@ -182,6 +321,28 @@ proptest! {
         let encoded = frame.encode();
         let decoded = Frame::decode(encoded).expect("well-formed frame must decode");
         prop_assert_eq!(decoded, frame);
+    }
+
+    /// The length `encode` allocates up front is exactly what it writes.
+    #[test]
+    fn encoded_len_is_exact(frame in arb_frame()) {
+        prop_assert_eq!(frame.encoded_len(), frame.encode().len());
+    }
+
+    /// `Address`'s integer order is its byte order, on random pairs and on
+    /// pairs that differ in one byte.
+    #[test]
+    fn address_order_is_byte_order(
+        a in arb_address(),
+        b in arb_address(),
+        at in 0..20usize,
+        byte in any::<u8>(),
+    ) {
+        prop_assert_eq!(a.cmp(&b), a.0.cmp(&b.0));
+        let mut near = a;
+        near.0[at] = byte;
+        prop_assert_eq!(a.cmp(&near), a.0.cmp(&near.0));
+        prop_assert_eq!(near.cmp(&a), near.0.cmp(&a.0));
     }
 
     /// Decoding arbitrary bytes never panics (it may or may not succeed).

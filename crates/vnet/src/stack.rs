@@ -8,7 +8,8 @@
 //! [`NetStack::on_ip`], come out via [`NetStack::take_packets`], and
 //! everything observable surfaces as [`StackEvent`]s.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 
 use bytes::{Bytes, BytesMut};
 use rand::rngs::SmallRng;
@@ -118,7 +119,9 @@ pub struct NetStack {
     tcp_cfg: TcpConfig,
     udp_bound: Vec<u16>,
     tcp_listeners: Vec<u16>,
-    conns: HashMap<SocketId, ConnEntry>,
+    /// Ordered by socket id: timers fire, and emit their segments, in
+    /// socket order — that order is simulation input.
+    conns: BTreeMap<SocketId, ConnEntry>,
     by_tuple: HashMap<(u16, VirtIp, u16), SocketId>,
     next_sock: u64,
     next_ephemeral: u16,
@@ -140,7 +143,7 @@ impl NetStack {
             tcp_cfg,
             udp_bound: Vec::new(),
             tcp_listeners: Vec::new(),
-            conns: HashMap::new(),
+            conns: BTreeMap::new(),
             by_tuple: HashMap::new(),
             next_sock: 1,
             next_ephemeral: 32_768,
@@ -194,16 +197,13 @@ impl NetStack {
 
     /// Drive connection timers.
     pub fn on_tick(&mut self, now: SimTime) {
-        // In socket order: the map iterates in a per-process random order,
-        // and the order connections emit their timer-driven segments is
-        // simulation input.
-        let mut socks: Vec<SocketId> = self.conns.keys().copied().collect();
-        socks.sort_unstable();
-        for sock in socks {
-            if let Some(e) = self.conns.get_mut(&sock) {
-                e.conn.on_tick(now);
-            }
+        // In socket order, resuming after the last socket visited, since
+        // draining needs the whole stack.
+        let mut after = Bound::Unbounded;
+        while let Some((&sock, e)) = self.conns.range_mut((after, Bound::Unbounded)).next() {
+            e.conn.on_tick(now);
             self.drain_conn(sock);
+            after = Bound::Excluded(sock);
         }
         self.reap();
     }
@@ -526,18 +526,14 @@ impl NetStack {
 
     /// Remove finished connections whose buffers have been drained.
     fn reap(&mut self) {
-        let dead: Vec<SocketId> = self
-            .conns
-            .iter()
-            .filter(|(_, e)| e.finished && e.conn.readable() == 0)
-            .map(|(&s, _)| s)
-            .collect();
-        for sock in dead {
-            if let Some(e) = self.conns.remove(&sock) {
-                self.by_tuple
-                    .remove(&(e.local_port, e.remote.0, e.remote.1));
+        let by_tuple = &mut self.by_tuple;
+        self.conns.retain(|_, e| {
+            let dead = e.finished && e.conn.readable() == 0;
+            if dead {
+                by_tuple.remove(&(e.local_port, e.remote.0, e.remote.1));
             }
-        }
+            !dead
+        });
     }
 }
 
