@@ -19,6 +19,7 @@ use wow_middleware::ping::{PingProbe, PingResults};
 use wow_netsim::prelude::*;
 use wow_overlay::addr::Address;
 use wow_overlay::config::OverlayConfig;
+use wow_overlay::conn::ConnType;
 use wow_overlay::node::BrunetNode;
 use wow_overlay::uri::{TransportUri, UriOrder};
 
@@ -119,7 +120,9 @@ pub fn far_k_sweep(n: usize, ks: &[usize], seed: u64) -> Vec<FarKPoint> {
 pub struct ThresholdPoint {
     /// The configured score threshold.
     pub threshold: f64,
-    /// Median seconds from traffic start to a direct connection.
+    /// Median seconds from traffic start to a shortcut (the shortcut role
+    /// on B's connection to A: a near or far link the ring happens to make
+    /// between the two is not what the threshold governs).
     pub median_time_to_direct: f64,
     /// Trials that never formed one within the horizon.
     pub missed: usize,
@@ -213,10 +216,13 @@ pub fn threshold_point(threshold: f64, trials: u64, seed: u64) -> ThresholdPoint
                     if found.lock().unwrap().is_some() {
                         return;
                     }
-                    let direct = sim.with_actor::<Workstation<PingProbe>, _>(b_actor, |ws, _| {
-                        ws.node().has_direct(a_addr)
+                    let shortcut = sim.with_actor::<Workstation<PingProbe>, _>(b_actor, |ws, _| {
+                        ws.node()
+                            .conns()
+                            .get(a_addr)
+                            .is_some_and(|c| c.types.contains(ConnType::Shortcut))
                     });
-                    if direct {
+                    if shortcut {
                         *found.lock().unwrap() =
                             Some(sim.now().saturating_since(t_start).as_secs_f64());
                     }

@@ -127,8 +127,8 @@ pub struct BrunetNode {
     shortcut: ShortcutOverlord,
     pending_ctm: HashMap<u64, PendingCtm>,
     next_token: u64,
-    /// Stabilization rounds seen; every 4th ring probe enters through a
-    /// cached introducer endpoint instead of a live connection.
+    /// Ring probes sent; every 4th enters through a cached introducer
+    /// endpoint instead of a live connection.
     probe_rounds: u64,
     bootstrap: BootstrapManager,
     /// The introducer the in-flight wildcard attempt is funnelled through
@@ -635,7 +635,7 @@ impl BrunetNode {
                     // Our keepalive hit a peer that no longer knows us.
                     if let Some(c) = self.conns.remove(from) {
                         if c.types.contains(ConnType::StructuredNear) {
-                            sink.count(Counter::NearLost);
+                            self.near_lost(sink);
                         }
                         self.forget_peer(from, sink);
                     }
@@ -825,11 +825,15 @@ impl BrunetNode {
                     // an overlay of one. Nothing to connect to yet.
                     return;
                 }
-                // Answer with our URIs (routed; relayed if asked).
-                let reply_dst = reply_relay.unwrap_or(pkt.src);
-                let reply = Packet {
+                // Answer with our URIs. A requester we already hold a
+                // connection to — the usual case for a ring probe that
+                // confirms its successor — gets the reply as one frame over
+                // that connection. Otherwise it is routed, through the
+                // requester's relay if it named one: the relay exists for a
+                // responder with no link to the requester yet.
+                let mut reply = Packet {
                     src: self.addr,
-                    dst: reply_dst,
+                    dst: pkt.src,
                     hops: 0,
                     ttl: self.cfg.ttl,
                     edge_forwarded: false,
@@ -840,7 +844,16 @@ impl BrunetNode {
                         for_node: pkt.src,
                     },
                 };
-                self.route_packet(now, reply, None, false, sink);
+                match self.conns.get(pkt.src) {
+                    Some(c) => {
+                        let remote = c.remote;
+                        self.send_frame(remote, Frame::Routed(reply), sink);
+                    }
+                    None => {
+                        reply.dst = reply_relay.unwrap_or(pkt.src);
+                        self.route_packet(now, reply, None, false, sink);
+                    }
+                }
                 // Start linking toward the requester (bidirectional rule).
                 self.connect_to(now, pkt.src, ctype, uris.clone(), sink);
                 // Nearest-delivery join semantics: hand one copy to the
@@ -952,6 +965,7 @@ impl BrunetNode {
         if outcome.new_role {
             if ctype == ConnType::StructuredNear {
                 sink.count(Counter::NearLinked);
+                self.near.near_set_changed();
                 // Push gossip: ask the new neighbour who it sees *now*,
                 // instead of waiting a stabilize round. A peer outside its
                 // horizon links us and trims us again within one of its own
@@ -985,6 +999,14 @@ impl BrunetNode {
         if self.leaf_peer == Some(peer) {
             self.leaf_peer = None;
         }
+    }
+
+    /// A structured-near role is gone — keepalive timeout, the peer's
+    /// `NotConnected`, or our own trim: count it and probe the ring again
+    /// at the next stabilize round.
+    fn near_lost<S: NodeSink + ?Sized>(&mut self, sink: &mut S) {
+        sink.count(Counter::NearLost);
+        self.near.near_set_changed();
     }
 
     /// Send the self-addressed CTM that discovers our ring neighbours.
@@ -1079,6 +1101,16 @@ impl BrunetNode {
     /// edge that crosses the split; a probe injected through it greedy-
     /// routes over the *other* ring, finds that ring's nearest-to-us node,
     /// links it, and seeds the merge that stabilization then propagates.
+    ///
+    /// Cadence: the near overlord launches a probe on the first stabilize
+    /// round, then doubles the wait after each one up to 8 rounds, and
+    /// drops back to every round whenever the structured-near set changes;
+    /// a node with no near link yet probes every round.
+    /// On a converged ring a probe only confirms a successor we already
+    /// hold, and that successor answers over its connection to us, so the
+    /// steady-state cost is the request's hops plus two one-hop replies
+    /// once per 8 rounds. A probe that does find a new neighbour links it,
+    /// and that link is itself a near-set change.
     fn send_ring_probe<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
         use rand::seq::IteratorRandom;
         self.probe_rounds = self.probe_rounds.wrapping_add(1);
@@ -1151,10 +1183,11 @@ impl BrunetNode {
                 token,
                 ctype: ConnType::StructuredNear,
                 uris: self.advertised_uris(),
-                // Replies come back through the first-hop peer, which has a
-                // proven direct link to us. Routing the reply straight to
-                // our address could dead-end at the very successor the
-                // probe exists to discover (it has no link to us yet).
+                // A responder with no link to us replies through the
+                // first-hop peer, which has a proven direct link to us.
+                // Routing the reply straight to our address could dead-end
+                // at the very successor the probe exists to discover.
+                // Responders we are linked to answer directly.
                 reply_relay: Some(relay_peer),
             },
         };
@@ -1315,7 +1348,7 @@ impl BrunetNode {
                 PingCmd::Dead { peer } => {
                     if let Some(c) = self.conns.remove(peer) {
                         if c.types.contains(ConnType::StructuredNear) {
-                            sink.count(Counter::NearLost);
+                            self.near_lost(sink);
                         }
                         sink.count(Counter::PeerDead);
                         self.forget_peer(peer, sink);
@@ -1359,11 +1392,15 @@ impl BrunetNode {
         for cmd in cmds {
             match cmd {
                 OverlordCmd::RequestCtm { target, ctype } => {
-                    if target != self.addr
-                        && self.conns.get(target).is_none()
-                        && !self.has_pending_ctm(target)
-                        && !self.linking.has_attempt(target)
-                    {
+                    if target == self.addr {
+                        continue;
+                    }
+                    if let Some(c) = self.conns.get(target) {
+                        // Linked already, for another role: claim this one
+                        // on the connection we have, as `connect_to` does.
+                        let remote = c.remote;
+                        self.record_conn(now, target, ctype, remote, sink);
+                    } else if !self.has_pending_ctm(target) && !self.linking.has_attempt(target) {
                         self.send_ctm(now, target, ctype, sink);
                     }
                 }
@@ -1374,7 +1411,7 @@ impl BrunetNode {
                             .get(peer)
                             .is_some_and(|c| c.types.contains(ConnType::StructuredNear))
                     {
-                        sink.count(Counter::NearLost);
+                        self.near_lost(sink);
                     }
                     let remote = self.conns.get(peer).map(|c| c.remote);
                     if self.conns.remove_role(peer, ctype) {
@@ -2311,24 +2348,193 @@ mod tests {
         n.record_conn(T0, a(600), ConnType::StructuredNear, ep(60, 1), &mut sk);
         n.record_conn(T0, a(900), ConnType::Leaf, ep(90, 1), &mut sk);
         sk.clear();
-        let mut via_leaf = 0;
-        for k in 1..=12u64 {
+        // The back-off schedule on 1 s rounds: waits of 1, 2, 4, then 8 s.
+        // 30 s stays inside the keepalive timeout, so the near set (and
+        // with it the schedule) holds still.
+        let (mut probes, mut via_leaf) = (Vec::new(), 0);
+        for k in 1..=30u64 {
             n.on_tick(T0 + SimDuration::from_secs(k), &mut sk);
-            via_leaf += sk
-                .take_sends()
-                .iter()
-                .filter(|(to, f)| {
-                    *to == ep(90, 1)
-                        && matches!(&f, Frame::Routed(p)
-                            if p.src == a(500) && p.dst == a(500)
-                                && matches!(p.body, Body::CtmRequest { .. }))
-                })
-                .count();
+            for (to, f) in sk.take_sends() {
+                if matches!(&f, Frame::Routed(p)
+                    if p.src == a(500) && p.dst == a(500)
+                        && matches!(p.body, Body::CtmRequest { .. }))
+                {
+                    probes.push(k);
+                    via_leaf += usize::from(to == ep(90, 1));
+                }
+            }
         }
+        assert_eq!(probes, vec![1, 2, 4, 8, 16, 24]);
         assert!(
             via_leaf > 0,
             "the ring probe must rotate through leaf connections — they \
              are the only edges that cross an interleaved-ring split"
+        );
+    }
+
+    /// Tick `n` at `secs` and report whether it launched a ring probe (a
+    /// self-addressed CTM, through a connection or an introducer).
+    fn probes_at(n: &mut BrunetNode, sk: &mut TestSink, secs: u64) -> bool {
+        n.on_tick(SimTime::from_secs(secs), sk);
+        let me = n.address();
+        sk.take_sends().iter().any(|(_, f)| {
+            matches!(f, Frame::Routed(p)
+                if p.src == me && p.dst == me && matches!(p.body, Body::CtmRequest { .. }))
+        })
+    }
+
+    #[test]
+    fn near_set_changes_bring_the_ring_probe_back() {
+        // Keepalives far off, so no peer times out inside the test.
+        let cfg = OverlayConfig {
+            ping_interval: SimDuration::from_secs(600),
+            ..OverlayConfig::default()
+        };
+        let mut n = BrunetNode::new(a(500), cfg, 7);
+        let mut sk = TestSink::new();
+        n.start(T0, uri(1, 4000), Vec::new(), &mut sk);
+        for (v, last) in [(400u64, 40u8), (450, 45), (550, 55), (600, 60)] {
+            n.record_conn(T0, a(v), ConnType::StructuredNear, ep(last, 1), &mut sk);
+        }
+        sk.clear();
+        let rounds = |n: &mut BrunetNode, sk: &mut TestSink, secs: &[u64]| -> Vec<u64> {
+            secs.iter()
+                .copied()
+                .filter(|&t| probes_at(n, sk, t))
+                .collect()
+        };
+        assert_eq!(
+            rounds(&mut n, &mut sk, &[0, 5, 10, 15, 20, 25, 30, 35]),
+            vec![0, 5, 15, 35],
+            "a quiet, settled near set backs the probe off"
+        );
+        // A closer neighbour links us: the round at 40 s probes, where the
+        // backed-off schedule would have waited until 75 s. That round
+        // also trims 400, now outside the horizon — a second change.
+        n.on_datagram(
+            SimTime::from_secs(37),
+            ep(48, 1),
+            Frame::Link(LinkMsg::LinkRequest {
+                from: a(480),
+                target: a(500),
+                ctype: ConnType::StructuredNear,
+                attempt: 3,
+            })
+            .encode(),
+            &mut sk,
+        );
+        assert_eq!(sk.counters.get(Counter::NearLinked), 5);
+        assert_eq!(
+            rounds(&mut n, &mut sk, &[40, 45, 50, 55, 60, 65, 70, 75, 80]),
+            vec![40, 45, 50, 60, 80]
+        );
+        assert_eq!(sk.counters.get(Counter::NearLost), 1, "400 trimmed");
+        // A near neighbour drops us: the next round probes again, where the
+        // backed-off schedule would have waited until 120 s.
+        n.on_datagram(
+            SimTime::from_secs(82),
+            ep(60, 1),
+            Frame::Link(LinkMsg::LinkError {
+                from: a(600),
+                attempt: 0,
+                reason: LinkErrorReason::NotConnected,
+            })
+            .encode(),
+            &mut sk,
+        );
+        assert_eq!(sk.counters.get(Counter::NearLost), 2);
+        assert!(probes_at(&mut n, &mut sk, 85));
+    }
+
+    #[test]
+    fn near_request_for_a_linked_peer_claims_the_role_in_place() {
+        // A joiner keeps its leaf to the introducer, which is also one of
+        // its ring neighbours. Asking for it as near must add the role to
+        // the connection: a CTM would be answered by the very peer we
+        // hold, and skipping it left a hole the next node out filled and
+        // was trimmed from, round after round.
+        let (mut n, mut sk) = started(a(100), Vec::new());
+        n.record_conn(T0, a(200), ConnType::Leaf, ep(20, 1), &mut sk);
+        sk.clear();
+        let ctms = sk.counters.ctm_total();
+        n.exec_overlord_cmds(
+            T0,
+            vec![OverlordCmd::RequestCtm {
+                target: a(200),
+                ctype: ConnType::StructuredNear,
+            }],
+            &mut sk,
+        );
+        let c = n.conns().get(a(200)).expect("still connected");
+        assert!(c.types.contains(ConnType::StructuredNear));
+        assert!(c.types.contains(ConnType::Leaf));
+        assert_eq!(sk.counters.ctm_total(), ctms, "no CTM for a linked peer");
+        assert_eq!(sk.counters.get(Counter::NearLinked), 1);
+    }
+
+    #[test]
+    fn ctm_reply_goes_straight_back_over_an_existing_connection() {
+        // Node 500 holds near links to 400, 600 and its probe's requester
+        // 520, plus a far link to 700, the requester's first hop.
+        let (mut n, mut sk) = started(a(500), Vec::new());
+        n.record_conn(T0, a(400), ConnType::StructuredNear, ep(40, 1), &mut sk);
+        n.record_conn(T0, a(600), ConnType::StructuredNear, ep(60, 1), &mut sk);
+        n.record_conn(T0, a(520), ConnType::StructuredNear, ep(52, 1), &mut sk);
+        n.record_conn(T0, a(700), ConnType::StructuredFar, ep(70, 1), &mut sk);
+        sk.clear();
+        let probe = |src: u64, token: u64| Packet {
+            src: a(src),
+            dst: a(src),
+            hops: 2,
+            ttl: 64,
+            edge_forwarded: false,
+            body: Body::CtmRequest {
+                token,
+                ctype: ConnType::StructuredNear,
+                uris: vec![uri(52, 4000)],
+                reply_relay: Some(a(700)),
+            },
+        };
+        // A connected requester: exactly one frame to its remote, the reply
+        // addressed to it — no routed trip through the relay.
+        n.on_datagram(
+            T0,
+            ep(70, 1),
+            Frame::Routed(probe(520, 5)).encode(),
+            &mut sk,
+        );
+        let s = sk.take_sends();
+        let to_requester: Vec<_> = s.iter().filter(|(to, _)| *to == ep(52, 1)).collect();
+        assert_eq!(to_requester.len(), 1, "{s:?}");
+        match &to_requester[0].1 {
+            Frame::Routed(p) => {
+                assert_eq!(p.dst, a(520));
+                assert!(matches!(p.body,
+                    Body::CtmReply { token: 5, responder, for_node, .. }
+                        if responder == a(500) && for_node == a(520)));
+            }
+            other => panic!("expected a CTM reply, got {other:?}"),
+        }
+        assert!(
+            !s.iter().any(|(_, f)| matches!(f,
+                Frame::Routed(p) if matches!(p.body, Body::CtmReply { .. }) && p.dst == a(700))),
+            "the relay is not used"
+        );
+        // An unconnected requester (480) still gets its reply via the relay.
+        n.on_datagram(
+            T0,
+            ep(70, 1),
+            Frame::Routed(probe(480, 6)).encode(),
+            &mut sk,
+        );
+        let s = sk.take_sends();
+        assert!(
+            s.iter().any(|(to, f)| *to == ep(70, 1)
+                && matches!(f, Frame::Routed(p)
+                    if p.dst == a(700)
+                        && matches!(p.body, Body::CtmReply { token: 6, for_node, .. }
+                            if for_node == a(480)))),
+            "{s:?}"
         );
     }
 

@@ -60,24 +60,44 @@ pub enum OverlordCmd {
 
 // ---------------------------------------------------------------- near ----
 
+/// Ring probes back off to at most `stabilize_interval << PROBE_MAX_SHIFT`
+/// apart (8×: 40 s with the default 5 s rounds) while the near set holds
+/// still.
+const PROBE_MAX_SHIFT: u32 = 3;
+
 /// Maintains structured-near (ring neighbour) connections.
 #[derive(Debug, Default)]
 pub struct NearOverlord {
     next_stabilize: SimTime,
+    /// The first stabilization round at or after this instant launches a
+    /// ring probe. Queries and trims run every round; probes back off.
+    next_probe: SimTime,
+    /// The probe interval is `stabilize_interval << probe_shift`.
+    probe_shift: u32,
 }
 
 impl NearOverlord {
-    /// New overlord; first stabilization due immediately.
+    /// New overlord; first stabilization (and ring probe) due immediately.
     pub fn new() -> Self {
         NearOverlord::default()
     }
 
-    /// When the next stabilization round is due.
+    /// When the next stabilization round is due. Probes only ever ride on
+    /// a round, so this is the overlord's only deadline.
     pub fn next_deadline(&self) -> SimTime {
         self.next_stabilize
     }
 
-    /// Periodic stabilization: query neighbours, trim the horizon.
+    /// The structured-near set changed (a neighbour linked or lost, a trim,
+    /// a rejoin): the ring around us may have moved, so probe at the next
+    /// round and restart the back-off from one stabilize interval.
+    pub fn near_set_changed(&mut self) {
+        self.next_probe = SimTime::ZERO;
+        self.probe_shift = 0;
+    }
+
+    /// Periodic stabilization: query neighbours, trim the horizon, and
+    /// launch a ring probe when its backed-off interval has elapsed.
     pub fn poll(
         &mut self,
         now: SimTime,
@@ -95,6 +115,7 @@ impl NearOverlord {
             // overlay entirely (every peer died, or a partition healed after
             // our links were reaped). Queries and probes would go nowhere;
             // ask the node to rejoin through its introducer cache instead.
+            self.near_set_changed();
             out.push(OverlordCmd::Rebootstrap);
             return;
         }
@@ -108,15 +129,30 @@ impl NearOverlord {
         // And verify the position globally: neighbour gossip alone can get
         // stuck in a local optimum after a mass join (a node whose "near"
         // links all point far away learns nothing useful from them). The
-        // routed probe finds the true successor regardless.
-        out.push(OverlordCmd::RingProbe);
+        // routed probe finds the true successor regardless. A probe that
+        // finds a better neighbour links it, which resets the back-off
+        // through `near_set_changed`; one that merely confirms a settled
+        // horizon doubles the wait, so a converged ring pays keepalives and
+        // queries, not a routed lookup per node per round. A node with no
+        // near link at all (a joiner whose join CTM went unanswered) is not
+        // on the ring yet: it probes every round.
+        if now >= self.next_probe {
+            let interval =
+                SimDuration::from_micros(cfg.stabilize_interval.as_micros() << self.probe_shift);
+            self.next_probe = now + interval;
+            let routable = conns.with_type(ConnType::StructuredNear).next().is_some();
+            self.probe_shift = if routable {
+                (self.probe_shift + 1).min(PROBE_MAX_SHIFT)
+            } else {
+                0
+            };
+            out.push(OverlordCmd::RingProbe);
+        }
         // Trim near roles outside the horizon — but only on sides that are
         // fully populated, so thin rings keep their links.
+        let full = cw.len() >= cfg.near_per_side && ccw.len() >= cfg.near_per_side;
         for c in conns.with_type(ConnType::StructuredNear) {
-            let in_cw = cw.contains(&c.peer);
-            let in_ccw = ccw.contains(&c.peer);
-            if !in_cw && !in_ccw && cw.len() >= cfg.near_per_side && ccw.len() >= cfg.near_per_side
-            {
+            if full && !cw.contains(&c.peer) && !ccw.contains(&c.peer) {
                 out.push(OverlordCmd::DropRole {
                     peer: c.peer,
                     ctype: ConnType::StructuredNear,
@@ -138,7 +174,15 @@ impl NearOverlord {
         let cw = conns.nearest_cw(me, cfg.near_per_side);
         let ccw = conns.nearest_ccw(me, cfg.near_per_side);
         for &n in neighbors {
-            if n == me || conns.get(n).is_some() {
+            // A peer we hold for another role only (typically a joiner's
+            // leaf to its introducer) is still a candidate: skipping it
+            // leaves a hole in the horizon that the next node out fills
+            // and then trims, round after round.
+            if n == me
+                || conns
+                    .get(n)
+                    .is_some_and(|c| c.types.contains(ConnType::StructuredNear))
+            {
                 continue;
             }
             let improves_cw = cw.len() < cfg.near_per_side
@@ -393,6 +437,126 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    /// A settled neighbourhood around me = 500: two near peers per side.
+    fn settled() -> ConnTable {
+        let mut conns = ConnTable::new();
+        for v in [490u64, 495, 505, 510] {
+            conns.upsert(a(v), ConnType::StructuredNear, ep(v as u16), T0);
+        }
+        conns
+    }
+
+    /// Poll every stabilize interval from `from` (inclusive) to `until`
+    /// (exclusive) and return the rounds, in seconds, that launched a probe.
+    fn probe_rounds(near: &mut NearOverlord, conns: &ConnTable, from: u64, until: u64) -> Vec<u64> {
+        let mut probed = Vec::new();
+        for t in (from..until).step_by(5) {
+            let mut out = Vec::new();
+            near.poll(SimTime::from_secs(t), a(500), conns, &cfg(), &mut out);
+            if out.contains(&OverlordCmd::RingProbe) {
+                probed.push(t);
+            }
+        }
+        probed
+    }
+
+    #[test]
+    fn ring_probe_interval_doubles_up_to_eight_rounds() {
+        let conns = settled();
+        let mut near = NearOverlord::new();
+        // Waits of 5, 10, 20, then 40 s for good.
+        assert_eq!(
+            probe_rounds(&mut near, &conns, 0, 300),
+            vec![0, 5, 15, 35, 75, 115, 155, 195, 235, 275]
+        );
+    }
+
+    #[test]
+    fn near_set_change_resets_the_probe_back_off() {
+        let conns = settled();
+        let mut near = NearOverlord::new();
+        assert_eq!(
+            probe_rounds(&mut near, &conns, 0, 80),
+            vec![0, 5, 15, 35, 75]
+        );
+        // Capped: the next probe would be at 115. A neighbour links (or is
+        // lost) before the round at 80: that round probes, and the back-off
+        // starts over from one interval.
+        near.near_set_changed();
+        assert_eq!(
+            probe_rounds(&mut near, &conns, 80, 160),
+            vec![80, 85, 95, 115, 155]
+        );
+    }
+
+    #[test]
+    fn a_joiner_not_yet_routable_probes_every_round() {
+        // A leaf to its introducer and a far link, but no near link: its
+        // join CTM went unanswered, and the probe is its way onto the ring.
+        let mut conns = ConnTable::new();
+        conns.upsert(a(300), ConnType::Leaf, ep(300), T0);
+        conns.upsert(a(900), ConnType::StructuredFar, ep(900), T0);
+        let mut near = NearOverlord::new();
+        assert_eq!(
+            probe_rounds(&mut near, &conns, 0, 30),
+            vec![0, 5, 10, 15, 20, 25]
+        );
+        // Its first near link starts the back-off.
+        conns.upsert(a(505), ConnType::StructuredNear, ep(505), T0);
+        near.near_set_changed();
+        assert_eq!(
+            probe_rounds(&mut near, &conns, 30, 70),
+            vec![30, 35, 45, 65]
+        );
+    }
+
+    #[test]
+    fn isolation_resets_the_probe_back_off() {
+        let conns = settled();
+        let mut near = NearOverlord::new();
+        probe_rounds(&mut near, &conns, 0, 80);
+        let mut out = Vec::new();
+        near.poll(
+            SimTime::from_secs(80),
+            a(500),
+            &ConnTable::new(),
+            &cfg(),
+            &mut out,
+        );
+        assert_eq!(out, vec![OverlordCmd::Rebootstrap]);
+        assert_eq!(probe_rounds(&mut near, &conns, 85, 100), vec![85, 90]);
+    }
+
+    #[test]
+    fn queries_and_trims_keep_the_stabilize_cadence() {
+        let mut conns = settled();
+        conns.upsert(a(600), ConnType::StructuredNear, ep(600), T0);
+        let mut near = NearOverlord::new();
+        let mut rounds = 0;
+        for t in (0..300).step_by(5) {
+            let mut out = Vec::new();
+            near.poll(SimTime::from_secs(t), a(500), &conns, &cfg(), &mut out);
+            let queries = out
+                .iter()
+                .filter(|c| matches!(c, OverlordCmd::SendNeighborQuery { .. }))
+                .count();
+            assert_eq!(queries, 4, "round at {t} s queries every neighbour");
+            assert!(
+                out.contains(&OverlordCmd::DropRole {
+                    peer: a(600),
+                    ctype: ConnType::StructuredNear,
+                }),
+                "round at {t} s trims the horizon"
+            );
+            rounds += 1;
+        }
+        assert_eq!(rounds, 60);
+        // Between rounds nothing runs, probe or not.
+        let mut out = Vec::new();
+        near.poll(SimTime::from_secs(298), a(500), &conns, &cfg(), &mut out);
+        assert!(out.is_empty());
+    }
+
     #[test]
     fn near_connects_to_reported_closer_node() {
         let mut conns = ConnTable::new();
@@ -410,6 +574,25 @@ mod tests {
         assert!(!out
             .iter()
             .any(|c| matches!(c, OverlordCmd::RequestCtm { target, .. } if *target == a(100))));
+    }
+
+    #[test]
+    fn near_claims_a_reported_neighbour_held_for_another_role() {
+        // Me = 50 holds 60 as a leaf only (it introduced us): reported as a
+        // ring neighbour, it is still requested as near.
+        let mut conns = ConnTable::new();
+        conns.upsert(a(60), ConnType::Leaf, ep(6), T0);
+        conns.upsert(a(100), ConnType::StructuredNear, ep(1), T0);
+        let mut near = NearOverlord::new();
+        let mut out = Vec::new();
+        near.on_neighbor_reply(a(50), &conns, &[a(60)], &cfg(), &mut out);
+        assert_eq!(
+            out,
+            vec![OverlordCmd::RequestCtm {
+                target: a(60),
+                ctype: ConnType::StructuredNear,
+            }]
+        );
     }
 
     #[test]

@@ -712,7 +712,13 @@ fn session_digest(t: &Transcript, counters: &TelemetryCounters) -> u64 {
 /// never consulted. The pinned digest is the session's transcript under
 /// `legacy_bootstrap: true` at commit 8f639e1, the last one that had the
 /// flag — where this test compared the two paths directly and they were
-/// equal, frames, events and telemetry.
+/// equal, frames, events and telemetry. Re-pinned once since, on purpose
+/// (was 44 frames, `13_921_976_092_887_995_306`): once node A is on the
+/// ring its probes back off, so it sends five fewer in the 30 s session,
+/// and it answers B's CTM over the connection it already holds to B, so
+/// that reply leaves with hops 0 instead of as a routed first hop. The
+/// events and the funnel itself — its wildcard attempt and retry budget —
+/// are unchanged.
 #[test]
 fn single_introducer_bootstrap_matches_the_legacy_funnel_byte_for_byte() {
     let (_, session, counters) = record();
@@ -729,7 +735,7 @@ fn single_introducer_bootstrap_matches_the_legacy_funnel_byte_for_byte() {
             session.events.len(),
             session_digest(&session, &counters)
         ),
-        (44, 3, 13_921_976_092_887_995_306),
+        (39, 3, 16_389_272_956_486_944_567),
         "single-introducer transcript diverged from the recorded funnel"
     );
     assert_eq!(

@@ -9,7 +9,7 @@ use wow_netsim::prelude::*;
 use wow_overlay::addr::Address;
 use wow_overlay::conn::ConnType;
 use wow_overlay::node::BrunetNode;
-use wow_overlay::prelude::OverlayConfig;
+use wow_overlay::prelude::{Counter, OverlayConfig};
 use wow_overlay::uri::TransportUri;
 
 const PORT: u16 = 4000;
@@ -113,6 +113,52 @@ fn ring_of_sixteen_converges_and_is_consistent() {
         assert!(routable, "node {i} not routable");
         assert!(nears >= 2, "node {i} has only {nears} near connections");
     }
+    assert_ring_consistent(&mut net);
+}
+
+/// The scenario seed, overridable so CI's churn matrix gates back-off and
+/// healing on the same seeds.
+fn churn_seed() -> u64 {
+    std::env::var("WOW_CHURN_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0xC4A0)
+}
+
+/// Ring probes sent so far, summed over the overlay.
+fn ring_probes(net: &mut Net) -> u64 {
+    let actors = net.actors.clone();
+    actors
+        .iter()
+        .map(|&a| {
+            net.sim.with_actor::<OverlayHost<NoApp>, _>(a, |h, _| {
+                h.counters().get(Counter::CtmRingProbe)
+            })
+        })
+        .sum()
+}
+
+/// A settled ring pays keepalives and neighbour queries, not a routed
+/// probe per node every stabilize round: over the last three of five
+/// sim-minutes, ring probes run at most 2.4 per node-minute (every round
+/// would be 12) and the ring stays consistent.
+#[test]
+fn settled_ring_backs_its_probes_off() {
+    const NODES: usize = 32;
+    let mut net = public_overlay(churn_seed(), NODES);
+    let from = SimTime::from_secs(120);
+    let until = SimTime::from_secs(300);
+    net.sim.run_until(from);
+    assert_ring_consistent(&mut net);
+    let before = ring_probes(&mut net);
+    net.sim.run_until(until);
+    let probes = ring_probes(&mut net) - before;
+    let minutes = until.saturating_since(from).as_secs_f64() / 60.0;
+    let per_node_minute = probes as f64 / (NODES as f64 * minutes);
+    assert!(
+        per_node_minute <= 2.4,
+        "{per_node_minute:.2} ring probes per node-minute on a settled ring ({probes} in {minutes} min)"
+    );
     assert_ring_consistent(&mut net);
 }
 

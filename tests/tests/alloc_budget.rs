@@ -20,13 +20,16 @@ use wow_overlay::node::BrunetNode;
 use wow_overlay::uri::TransportUri;
 
 /// Allocations per simulated event this world may make in its steady
-/// window: 0.62 measured with wheel slots that keep their buffers,
-/// index-walked ring-neighbour queries, a stack-array exclude list and
-/// single-allocation frame encoding; 2.27 before them. The bound sits
-/// between, low enough that undoing either of the two largest savings
-/// fails it: wheel slots that free every drained buffer measure 1.50, and
-/// frames built in a growable buffer and then copied measure 1.07.
-const BUDGET: f64 = 0.9;
+/// window: 0.58 measured with wheel slots that keep their buffers,
+/// index-walked ring-neighbour queries, a stack-array exclude list,
+/// single-allocation frame encoding and backed-off ring probes (0.62 with
+/// a probe every stabilize round); 2.27 before the first four. The bound
+/// keeps the same headroom over the measured figure as before, low enough
+/// that undoing either of the two largest savings fails it: wheel slots
+/// that free every drained buffer measure 1.38 (1.50 with every-round
+/// probes), and frames built in a growable buffer and then copied measured
+/// 1.07 with every-round probes.
+const BUDGET: f64 = 0.85;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
