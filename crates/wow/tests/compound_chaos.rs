@@ -355,6 +355,24 @@ fn compound_chaos_heals_within_bound() {
     assert!(out.counters.get(Counter::NearLinked) > 0);
 }
 
+/// FNV-1a over an [`Outcome`]'s whole `Debug` rendering: transcript, audit
+/// polls, repair time and every counter.
+fn outcome_digest(out: &Outcome) -> u64 {
+    format!("{out:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The default-seed record/replay outcome, pinned. This is the one
+/// full-scenario pin over the join and CTM paths: multi-introducer
+/// fallback, an introducer crash, clean-slate restart with
+/// `restore_join_state`, probes entering through the introducer cache and
+/// the isolation `Rebootstrap`. A change that means to move protocol
+/// behaviour re-pins it and says why.
+const OUTCOME_DIGEST: u64 = 1_634_856_453_548_062_174;
+
 #[test]
 fn compound_chaos_is_deterministic_record_replay() {
     let seed = churn_seed() ^ 0xCA05;
@@ -365,6 +383,10 @@ fn compound_chaos_is_deterministic_record_replay() {
         "same seed must replay the exact fault transcript"
     );
     assert_eq!(a, b, "same seed must replay the exact run outcome");
+    // The pin holds for the default seed only; a swept seed checks replay.
+    if std::env::var_os("WOW_CHURN_SEED").is_none() {
+        assert_eq!(outcome_digest(&a), OUTCOME_DIGEST, "{a:?}");
+    }
 }
 
 /// Parallel differential: the compound-chaos scenario — every faultlab
