@@ -1,4 +1,4 @@
-//! Decentralized bootstrap: the introducer cache.
+//! Decentralized bootstrap: the introducer cache and a node's join part.
 //!
 //! The paper's §IV join path funnels every new workstation through one
 //! well-known bootstrap node — exactly the single point of failure the
@@ -8,7 +8,15 @@
 //! side concern — carrying more than one introducer URI, choosing among
 //! them, and remembering which ones worked.
 //!
-//! [`BootstrapManager`] is that joiner-side state:
+//! [`BootstrapManager`] is that joiner-side state, and it makes every join
+//! decision (§IV-C): single funnel or one cached candidate, what a wildcard
+//! reply or failure records, join retry versus the marooned-pair escape,
+//! and whether to rebootstrap. The join itself: a wildcard link to an
+//! introducer yields a **leaf** connection (and, from the reply, our
+//! NAT-assigned URI); the first leaf takes the leaf slot and relays a CTM
+//! addressed to ourselves, which greedy routing delivers to the ring node
+//! nearest our address; it answers and edge-forwards a copy to our other
+//! neighbour, and linking to both as structured near makes us routable.
 //!
 //! * **Configured + learned entries.** The cache starts from the configured
 //!   bootstrap list and grows as the node links to peers (every directly
@@ -31,8 +39,15 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
+use wow_netsim::addr::PhysAddr;
 use wow_netsim::time::{SimDuration, SimTime};
 
+use crate::addr::Address;
+use crate::conn::{ConnTable, ConnType};
+use crate::driver::NodeSink;
+use crate::linking::LinkingManager;
+use crate::node::WILDCARD;
+use crate::telemetry::Counter;
 use crate::uri::TransportUri;
 
 /// Stream-separation tweak: the manager's RNG derives from the node seed
@@ -76,11 +91,17 @@ struct Entry {
     next_eligible: SimTime,
 }
 
-/// The joiner-side introducer cache. See module docs.
+/// The joiner side of a node: the introducer cache and the join in
+/// flight. See module docs.
 #[derive(Clone, Debug)]
 pub struct BootstrapManager {
     entries: Vec<Entry>,
     rng: SmallRng,
+    /// The first leaf connection: the relay of our join CTM.
+    pub(crate) leaf: Option<Address>,
+    /// The introducer the in-flight wildcard attempt funnels through.
+    introducer: Option<TransportUri>,
+    next_attempt: SimTime,
 }
 
 impl BootstrapManager {
@@ -89,6 +110,9 @@ impl BootstrapManager {
         BootstrapManager {
             entries: Vec::new(),
             rng: SmallRng::seed_from_u64(seed ^ RNG_TWEAK),
+            leaf: None,
+            introducer: None,
+            next_attempt: SimTime::ZERO,
         }
     }
 
@@ -261,9 +285,131 @@ impl BootstrapManager {
         }
     }
 
-    /// Drop every entry (clean-slate restart), keeping the RNG stream.
+    /// Clean-slate restart: drop every entry and the join in flight,
+    /// keeping the RNG stream.
     pub fn reset(&mut self) {
         self.entries.clear();
+        self.leaf = None;
+        self.introducer = None;
+    }
+}
+
+// ---------------------------------------------------------------- join ----
+
+/// Retries per introducer before a multi-introducer joiner falls through
+/// the cache; a single cached introducer keeps the full `link_retries`.
+pub(crate) const INTRODUCER_RETRIES: u32 = 2;
+
+/// Base demotion backoff after a failed introducer.
+const INTRODUCER_BACKOFF: SimDuration = SimDuration::from_secs(30);
+
+/// Upper bound on cached introducers (configured + learned).
+const MAX_INTRODUCERS: usize = 16;
+
+/// What a housekeeping round asks of the node.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum JoinStep {
+    /// Re-send the join CTM through this leaf.
+    Ctm(Address),
+    /// Dial the introducer cache again ([`BootstrapManager::dial`]).
+    Dial,
+}
+
+/// The join part (module docs).
+impl BootstrapManager {
+    /// (Re)start: merge the configured introducers, arm the join retry.
+    pub(crate) fn start(&mut self, now: SimTime, bootstrap: &[TransportUri], retry: SimDuration) {
+        self.configure(bootstrap);
+        self.next_attempt = now + retry;
+    }
+
+    /// Start a wildcard attempt unless one is in flight or nothing is
+    /// cached; returns whether `linking` has a new attempt to drive. One
+    /// cached introducer gets the whole-list funnel on the full budget
+    /// (`tests/driver_differential.rs` pins it); several are tried one
+    /// seeded-random candidate at a time on [`INTRODUCER_RETRIES`].
+    pub(crate) fn dial<S: NodeSink + ?Sized>(
+        &mut self,
+        now: SimTime,
+        linking: &mut LinkingManager,
+        sink: &mut S,
+    ) -> bool {
+        if self.is_empty() || linking.has_attempt(WILDCARD) {
+            return false;
+        }
+        if self.len() == 1 {
+            let uris = self.uris();
+            self.introducer = uris.first().copied();
+            linking.start(now, WILDCARD, ConnType::Leaf, uris);
+            return true;
+        }
+        let Some(uri) = self.next_candidate(now) else {
+            return false;
+        };
+        self.introducer = Some(uri);
+        sink.count(Counter::IntroducerTried);
+        let budget = Some(INTRODUCER_RETRIES);
+        linking.start_with_budget(now, WILDCARD, ConnType::Leaf, vec![uri], budget);
+        true
+    }
+
+    /// The introducer answered: clear its demotion.
+    pub(crate) fn introducer_answered(&mut self) {
+        if let Some(uri) = self.introducer.take() {
+            self.record_success(uri);
+        }
+    }
+
+    /// The wildcard attempt failed: demote the introducer; `true` when the
+    /// node should fall through to the next cached candidate.
+    pub(crate) fn introducer_failed(&mut self, now: SimTime) -> bool {
+        if let Some(uri) = self.introducer.take() {
+            self.record_failure(uri, now, INTRODUCER_BACKOFF);
+        }
+        self.len() > 1
+    }
+
+    /// A directly linked peer can introduce us: cache its return path.
+    pub(crate) fn learn_peer(&mut self, remote: PhysAddr) {
+        self.learn(TransportUri::udp(remote), MAX_INTRODUCERS);
+    }
+
+    /// A housekeeping round, on the `retry` cadence: a node not yet
+    /// routable re-sends its join CTM through its leaf, or dials when it
+    /// holds no leaf connection at all. A routable node whose whole
+    /// neighbourhood is one peer dials too — the marooned-pair escape: two
+    /// isolated nodes that bootstrap through each other form a private
+    /// 2-ring in which each is "routable" and neither would dial again.
+    /// For a genuine 2-node overlay the cache holds only the peer.
+    pub(crate) fn housekeeping(
+        &mut self,
+        now: SimTime,
+        routable: bool,
+        conns: &ConnTable,
+        retry: SimDuration,
+    ) -> Option<JoinStep> {
+        if now < self.next_attempt {
+            return None;
+        }
+        let step = if !routable {
+            let leafless = conns.with_type(ConnType::Leaf).next().is_none();
+            match self.leaf {
+                Some(leaf) => Some(JoinStep::Ctm(leaf)),
+                None => leafless.then_some(JoinStep::Dial),
+            }
+        } else if conns.len() == 1 && self.len() > 1 {
+            Some(JoinStep::Dial)
+        } else {
+            return None;
+        };
+        self.next_attempt = now + retry;
+        step
+    }
+
+    /// `Rebootstrap`'s guard: only a node with no connection of any kind
+    /// and no join in flight rejoins.
+    pub(crate) fn may_rebootstrap(&self, conns: &ConnTable) -> bool {
+        self.leaf.is_none() && conns.is_empty()
     }
 }
 
@@ -399,5 +545,164 @@ mod tests {
         assert_eq!(m.join_state(), state, "snapshot must round-trip");
         assert!(m.uris().contains(&uri(3)), "learned entry survives");
         assert_eq!(m.entries[1].failures, 1, "demotion survives");
+    }
+
+    // ---- the join part ----
+
+    use crate::addr::U160;
+    use crate::config::OverlayConfig;
+    use crate::linking::LinkCmd;
+    use crate::telemetry::TelemetryCounters;
+
+    /// The join part only counts; it never sends or reports events.
+    #[derive(Default)]
+    struct Counts(TelemetryCounters);
+
+    impl NodeSink for Counts {
+        fn send(&mut self, _: PhysAddr, _: bytes::Bytes) {
+            unreachable!("the join part sends nothing")
+        }
+        fn event(&mut self, _: crate::driver::NodeEvent) {
+            unreachable!("the join part reports no events")
+        }
+        fn count(&mut self, counter: Counter) {
+            self.0.record(counter);
+        }
+    }
+
+    const RETRY: SimDuration = SimDuration::from_secs(10);
+
+    fn joining(introducers: &[TransportUri]) -> (BootstrapManager, LinkingManager, Counts) {
+        let mut m = BootstrapManager::new(1);
+        m.start(T0, introducers, RETRY);
+        (m, LinkingManager::new(), Counts::default())
+    }
+
+    /// Poll `l` until its wildcard attempt fails; returns the failure time
+    /// and every endpoint a request went to.
+    fn until_failed(l: &mut LinkingManager) -> (SimTime, Vec<PhysAddr>) {
+        let (cfg, mut sent) = (OverlayConfig::default(), Vec::new());
+        while let Some(t) = l.next_deadline() {
+            let mut cmds = Vec::new();
+            l.poll(t, &cfg, &mut cmds);
+            for c in cmds {
+                match c {
+                    LinkCmd::SendRequest { to, .. } => sent.push(to),
+                    LinkCmd::Failed { .. } => return (t, sent),
+                    LinkCmd::Established { .. } => unreachable!(),
+                }
+            }
+        }
+        unreachable!("the attempt never failed")
+    }
+
+    #[test]
+    fn one_introducer_is_funnelled_several_are_tried_one_at_a_time() {
+        let cfg = OverlayConfig::default();
+        let (mut m, mut l, mut sink) = joining(&[uri(1)]);
+        assert!(m.dial(T0, &mut l, &mut sink));
+        assert!(
+            !m.dial(T0, &mut l, &mut sink),
+            "one wildcard attempt at a time"
+        );
+        assert_eq!(sink.0.get(Counter::IntroducerTried), 0);
+        let (failed_at, _) = until_failed(&mut l);
+        assert_eq!(failed_at, T0 + cfg.uri_abandon_time(), "the full budget");
+        assert!(
+            !m.introducer_failed(failed_at),
+            "nothing to fall through to"
+        );
+
+        let (mut m, mut l, mut sink) = joining(&[uri(1), uri(2), uri(3)]);
+        assert!(m.dial(T0, &mut l, &mut sink));
+        assert_eq!(sink.0.get(Counter::IntroducerTried), 1);
+        let (failed_at, sent) = until_failed(&mut l);
+        assert_eq!(
+            failed_at,
+            T0 + cfg.introducer_abandon_time(),
+            "the short budget"
+        );
+        assert!(
+            sent.iter().all(|&to| to == sent[0]),
+            "one candidate: {sent:?}"
+        );
+        assert!(m.introducer_failed(failed_at), "fall through the cache");
+        let state = m.join_state();
+        let tried = state
+            .introducers
+            .iter()
+            .find(|r| r.uri.addr == sent[0])
+            .unwrap();
+        assert_eq!(tried.failures, 1);
+        // The next candidate is another introducer; its answer is recorded.
+        assert!(m.dial(failed_at, &mut l, &mut sink));
+        let mut cmds = Vec::new();
+        l.poll(failed_at, &cfg, &mut cmds);
+        let LinkCmd::SendRequest { to, .. } = cmds[0] else {
+            panic!("{cmds:?}")
+        };
+        assert_ne!(to, sent[0], "the demoted introducer waits");
+        m.introducer_answered();
+        let state = m.join_state();
+        let answered = state.introducers.iter().find(|r| r.uri.addr == to).unwrap();
+        assert_eq!((answered.successes, answered.failures), (1, 0));
+    }
+
+    #[test]
+    fn housekeeping_retries_the_join_and_escapes_a_marooned_pair() {
+        let ep = |v: u16| PhysAddr::new(PhysIp::new(10, 0, 1, 1), v);
+        let peer = Address::from(U160::from(7u64));
+        let mut conns = ConnTable::new();
+        let (mut m, _, _) = joining(&[uri(1), uri(2)]);
+        let t = T0 + RETRY;
+        assert_eq!(m.housekeeping(T0, false, &conns, RETRY), None, "not yet");
+        // Not routable: through the leaf when it holds one, else dial.
+        m.leaf = Some(peer);
+        assert_eq!(
+            m.housekeeping(t, false, &conns, RETRY),
+            Some(JoinStep::Ctm(peer))
+        );
+        assert_eq!(m.housekeeping(t, false, &conns, RETRY), None, "re-armed");
+        m.leaf = None;
+        let t = t + RETRY;
+        assert_eq!(
+            m.housekeeping(t, false, &conns, RETRY),
+            Some(JoinStep::Dial)
+        );
+        conns.upsert(peer, ConnType::Leaf, ep(1), T0);
+        let t = t + RETRY;
+        assert_eq!(
+            m.housekeeping(t, false, &conns, RETRY),
+            None,
+            "a leaf is joining"
+        );
+        // Routable on one peer with another introducer cached: escape.
+        conns.upsert(peer, ConnType::StructuredNear, ep(1), T0);
+        let t = t + RETRY;
+        assert_eq!(m.housekeeping(t, true, &conns, RETRY), Some(JoinStep::Dial));
+        // A genuine two-node overlay caches only its peer.
+        let (mut pair, _, _) = joining(&[uri(1)]);
+        assert_eq!(pair.housekeeping(t, true, &conns, RETRY), None);
+        conns.upsert(
+            Address::from(U160::from(9u64)),
+            ConnType::StructuredFar,
+            ep(2),
+            T0,
+        );
+        assert_eq!(m.housekeeping(t + RETRY, true, &conns, RETRY), None);
+    }
+
+    #[test]
+    fn only_an_isolated_node_rebootstraps() {
+        let (mut m, _, _) = joining(&[uri(1)]);
+        let mut conns = ConnTable::new();
+        assert!(m.may_rebootstrap(&conns));
+        let peer = Address::from(U160::from(7u64));
+        m.leaf = Some(peer);
+        assert!(!m.may_rebootstrap(&conns), "a join is in flight");
+        m.leaf = None;
+        let remote = PhysAddr::new(PhysIp::new(10, 0, 1, 1), 1);
+        conns.upsert(peer, ConnType::StructuredFar, remote, T0);
+        assert!(!m.may_rebootstrap(&conns), "still connected");
     }
 }

@@ -8,13 +8,8 @@
 
 use wow_netsim::time::SimDuration;
 
+use crate::bootstrap::INTRODUCER_RETRIES;
 use crate::uri::UriOrder;
-
-/// Retries per introducer before a multi-introducer joiner falls through
-/// the cache to the next candidate. Only applies when more than one
-/// introducer is cached; a single introducer keeps the full `link_retries`
-/// budget.
-pub(crate) const INTRODUCER_RETRIES: u32 = 2;
 
 /// Configuration for a [`crate::node::BrunetNode`].
 #[derive(Clone, Debug)]
@@ -79,13 +74,7 @@ impl OverlayConfig {
     /// Time after which the linking protocol abandons one dead URI:
     /// `Σ link_rto · 2^i for i in 0..link_retries`.
     pub fn uri_abandon_time(&self) -> SimDuration {
-        let mut total = SimDuration::ZERO;
-        let mut rto = self.link_rto;
-        for _ in 0..self.link_retries {
-            total += rto;
-            rto = rto.saturating_double();
-        }
-        total
+        self.abandon_time(self.link_retries)
     }
 
     /// Time a multi-introducer joiner spends on one introducer before
@@ -93,9 +82,15 @@ impl OverlayConfig {
     /// 0..INTRODUCER_RETRIES` (15 s with defaults, vs the 155 s a single
     /// introducer gets — fallback is the point of carrying several).
     pub fn introducer_abandon_time(&self) -> SimDuration {
+        self.abandon_time(INTRODUCER_RETRIES)
+    }
+
+    /// `Σ link_rto · 2^i for i in 0..retries`: how long linking spends on
+    /// one URI before it gives up on it.
+    fn abandon_time(&self, retries: u32) -> SimDuration {
         let mut total = SimDuration::ZERO;
         let mut rto = self.link_rto;
-        for _ in 0..INTRODUCER_RETRIES {
+        for _ in 0..retries {
             total += rto;
             rto = rto.saturating_double();
         }

@@ -292,27 +292,41 @@ impl ConnTable {
     /// Walks the sorted ring index forward from `from`'s position, wrapping
     /// once: O(log n + count). Addresses are distinct, so index order past
     /// `from` is exactly increasing clockwise distance.
-    pub fn nearest_cw(&self, from: Address, count: usize) -> Vec<Address> {
+    pub fn nearest_cw(&self, from: Address, count: usize) -> impl Iterator<Item = Address> + '_ {
         let n = self.structured.len();
         let start = self.structured.partition_point(|&p| p <= from);
         (0..n)
-            .map(|k| self.structured[(start + k) % n])
-            .filter(|&p| p != from)
+            .map(move |k| self.structured[(start + k) % n])
+            .filter(move |&p| p != from)
             .take(count)
-            .collect()
     }
 
     /// The `count` nearest structured-connected peers counter-clockwise of
     /// `from`, nearest first: the index walked backward from `from`'s
     /// position, as [`ConnTable::nearest_cw`] walks it forward.
-    pub fn nearest_ccw(&self, from: Address, count: usize) -> Vec<Address> {
+    pub fn nearest_ccw(&self, from: Address, count: usize) -> impl Iterator<Item = Address> + '_ {
         let n = self.structured.len();
         let end = self.structured.partition_point(|&p| p < from);
         (1..=n)
-            .map(|k| self.structured[(end + n - k) % n])
-            .filter(|&p| p != from)
+            .map(move |k| self.structured[(end + n - k) % n])
+            .filter(move |&p| p != from)
             .take(count)
-            .collect()
+    }
+
+    /// The routing core a node's two forwarding paths share: the greedy
+    /// [`ConnTable::next_hop`], never straight back to the peer a packet
+    /// arrived from (`from`, looked up by endpoint) nor to `skip`.
+    pub(crate) fn route(
+        &self,
+        me: Address,
+        dst: Address,
+        from: Option<PhysAddr>,
+        skip: Option<Address>,
+    ) -> NextHop<'_> {
+        match (from.and_then(|r| self.peer_by_remote(r)), skip) {
+            (Some(back), Some(skip)) => self.next_hop(me, dst, &[back, skip]),
+            (back, skip) => self.next_hop(me, dst, back.or(skip).as_slice()),
+        }
     }
 
     /// Greedy next hop for a packet addressed to `dst`, from a node whose
@@ -424,13 +438,13 @@ impl ConnSnapshot {
     /// The node's current ring successor (nearest structured peer
     /// clockwise), if it has one.
     pub fn successor(&self) -> Option<Address> {
-        self.table.nearest_cw(self.addr, 1).first().copied()
+        self.table.nearest_cw(self.addr, 1).next()
     }
 
     /// The node's current ring predecessor (nearest structured peer
     /// counter-clockwise), if it has one.
     pub fn predecessor(&self) -> Option<Address> {
-        self.table.nearest_ccw(self.addr, 1).first().copied()
+        self.table.nearest_ccw(self.addr, 1).next()
     }
 
     /// True if this node holds a `StructuredNear` link to `peer`.
@@ -542,10 +556,40 @@ mod tests {
         for v in [10u64, 20, 30, 90] {
             t.upsert(a(v), ConnType::StructuredNear, ep(v as u16), T0);
         }
-        assert_eq!(t.nearest_cw(a(15), 2), vec![a(20), a(30)]);
-        assert_eq!(t.nearest_ccw(a(15), 2), vec![a(10), a(90)]);
+        assert!(t.nearest_cw(a(15), 2).eq([a(20), a(30)]));
+        assert!(t.nearest_ccw(a(15), 2).eq([a(10), a(90)]));
         // Wrap-around: from 95, clockwise reaches 10 first.
-        assert_eq!(t.nearest_cw(a(95), 1), vec![a(10)]);
+        assert!(t.nearest_cw(a(95), 1).eq([a(10)]));
+    }
+
+    #[test]
+    fn route_never_bounces_back_nor_returns_to_a_skipped_source() {
+        let mut t = ConnTable::new();
+        t.upsert(a(1000), ConnType::StructuredNear, ep(10), T0);
+        t.upsert(a(5000), ConnType::StructuredFar, ep(50), T0);
+        let via = |h: NextHop<'_>| match h {
+            NextHop::Relay(c) => Some(c.peer),
+            NextHop::Local => None,
+        };
+        assert_eq!(via(t.route(a(0), a(4800), None, None)), Some(a(5000)));
+        assert_eq!(
+            via(t.route(a(0), a(4800), Some(ep(99)), None)),
+            Some(a(5000))
+        );
+        // Arrived over the link to 5000: never straight back.
+        assert_eq!(
+            via(t.route(a(0), a(4800), Some(ep(50)), None)),
+            Some(a(1000))
+        );
+        assert_eq!(
+            via(t.route(a(0), a(4800), None, Some(a(5000)))),
+            Some(a(1000))
+        );
+        // Both excluded: nothing closer than us is left.
+        assert_eq!(
+            via(t.route(a(0), a(4800), Some(ep(50)), Some(a(1000)))),
+            None
+        );
     }
 
     #[test]
@@ -709,12 +753,12 @@ mod tests {
                 };
                 for count in [0, 1, 2, n, n + 3] {
                     assert_eq!(
-                        t.nearest_cw(from, count),
+                        t.nearest_cw(from, count).collect::<Vec<_>>(),
                         nearest_cw_sort(&t, from, count),
                         "cw from={from:?} count={count}"
                     );
                     assert_eq!(
-                        t.nearest_ccw(from, count),
+                        t.nearest_ccw(from, count).collect::<Vec<_>>(),
                         nearest_ccw_sort(&t, from, count),
                         "ccw from={from:?} count={count}"
                     );

@@ -16,6 +16,18 @@
 //! what lets one protocol implementation serve both Fig. 4's 100-trial
 //! sweeps and a loopback demo.
 //!
+//! ## One home per protocol decision
+//!
+//! This module is dispatch glue; each decision lives in a part that is
+//! tested without a node: linking and keepalives ([`crate::linking`],
+//! [`crate::ping`], glued in `link`), the CTM protocol (`ctm`), the join
+//! ([`crate::bootstrap`]), the overlords ([`crate::overlord`]) and routing
+//! (`ConnTable::route`). Managers and overlords answer with command
+//! lists that the node executes. The lists stay on purpose: they are the
+//! tested output contracts of pure deciders, and deciding a whole round
+//! before acting on it is the order the pinned digests encode (the far
+//! census reads the table before the near trims run).
+//!
 //! ## Decode-free transit
 //!
 //! The per-hop cost of forwarding is the overlay's hottest operation (the
@@ -28,20 +40,9 @@
 //! local delivery, malformed frames, and protocol traffic (CTM, linking).
 //! The two paths are byte-identical by construction, which
 //! `tests/driver_differential.rs` proves over a relay trace.
-//!
-//! ## Join choreography (§IV-C)
-//!
-//! 1. Link (wildcard target) to a bootstrap URI → a **leaf** connection to
-//!    node `L`; the `LinkReply` teaches us our NAT-assigned public URI.
-//! 2. Send a CTM addressed *to ourselves*, relayed via `L`. Greedy routing
-//!    delivers it to the ring node nearest our address, which answers (and
-//!    edge-forwards one copy to the neighbour on the other side of us, so
-//!    both future neighbours respond). Replies come back through `L`.
-//! 3. Link to each responder as **structured near** — we are now routable.
-//! 4. The far overlord acquires its `k` long links; the shortcut overlord
-//!    reacts to tunnelled traffic from then on.
 
-use std::collections::HashMap;
+mod ctm;
+mod link;
 
 use bytes::Bytes;
 use rand::rngs::SmallRng;
@@ -51,16 +52,17 @@ use wow_netsim::addr::PhysAddr;
 use wow_netsim::time::{SimDuration, SimTime};
 
 use crate::addr::Address;
-use crate::bootstrap::{BootstrapManager, JoinState};
-use crate::config::{OverlayConfig, INTRODUCER_RETRIES};
+use crate::bootstrap::{BootstrapManager, JoinState, JoinStep};
+use crate::config::OverlayConfig;
 use crate::conn::{ConnTable, ConnType, NextHop};
 use crate::driver::{NodeEvent, NodeSink};
-use crate::linking::{LinkCmd, LinkingManager};
+use crate::linking::LinkingManager;
 use crate::overlord::{FarOverlord, NearOverlord, OverlordCmd, ShortcutOverlord};
-use crate::ping::{PingCmd, PingManager};
+use crate::ping::PingManager;
 use crate::telemetry::Counter;
 use crate::uri::{TransportUri, UriSet};
-use crate::wire::{Body, Frame, LinkErrorReason, LinkMsg, Packet, RoutedHeader};
+use crate::wire::{Body, Frame, LinkErrorReason, Packet, RoutedHeader};
+use ctm::Ctm;
 
 /// The wildcard target address used when linking to a bootstrap node whose
 /// overlay address is not yet known.
@@ -69,17 +71,6 @@ pub const WILDCARD: Address = Address([0; 20]);
 /// Housekeeping cadence (pending-CTM expiry, shortcut idle checks, join
 /// retries are evaluated at this granularity).
 const HOUSEKEEPING: SimDuration = SimDuration::from_secs(2);
-
-/// How long a pending CTM waits before it may be re-issued.
-const CTM_TIMEOUT: SimDuration = SimDuration::from_secs(15);
-
-/// Base demotion backoff after a failed introducer; doubles per
-/// consecutive failure (capped at ×32). Demoted introducers are retried
-/// last, never dropped from the cache.
-const INTRODUCER_BACKOFF: SimDuration = SimDuration::from_secs(30);
-
-/// Upper bound on cached introducers (configured + learned).
-const MAX_INTRODUCERS: usize = 16;
 
 /// Counters exposed for experiments and tests.
 #[derive(Clone, Copy, Debug, Default)]
@@ -105,11 +96,19 @@ pub struct NodeStats {
     pub hops_sum: u64,
 }
 
-#[derive(Clone, Debug)]
-struct PendingCtm {
-    target: Address,
-    ctype: ConnType,
-    expires: SimTime,
+impl NodeStats {
+    /// The hop budget every forward passes, on both forwarding paths:
+    /// count the packet forwarded, or dropped once `hops` has reached `ttl`.
+    fn spend_hop<S: NodeSink + ?Sized>(&mut self, hops: u8, ttl: u8, sink: &mut S) -> bool {
+        if hops >= ttl {
+            self.dropped_ttl += 1;
+            sink.count(Counter::DroppedTtl);
+            return false;
+        }
+        self.forwarded += 1;
+        sink.count(Counter::Forwarded);
+        true
+    }
 }
 
 /// The node. See module docs.
@@ -125,17 +124,8 @@ pub struct BrunetNode {
     near: NearOverlord,
     far: FarOverlord,
     shortcut: ShortcutOverlord,
-    pending_ctm: HashMap<u64, PendingCtm>,
-    next_token: u64,
-    /// Ring probes sent; every 4th enters through a cached introducer
-    /// endpoint instead of a live connection.
-    probe_rounds: u64,
-    bootstrap: BootstrapManager,
-    /// The introducer the in-flight wildcard attempt is funnelled through
-    /// (multi-introducer mode tries exactly one at a time).
-    current_introducer: Option<TransportUri>,
-    leaf_peer: Option<Address>,
-    next_join_attempt: SimTime,
+    ctm: Ctm,
+    join: BootstrapManager,
     next_housekeeping: SimTime,
     stats: NodeStats,
 }
@@ -155,13 +145,8 @@ impl BrunetNode {
             near: NearOverlord::new(),
             far: FarOverlord::new(),
             shortcut: ShortcutOverlord::new(),
-            pending_ctm: HashMap::new(),
-            next_token: 1,
-            probe_rounds: 0,
-            bootstrap: BootstrapManager::new(seed),
-            current_introducer: None,
-            leaf_peer: None,
-            next_join_attempt: SimTime::ZERO,
+            ctm: Ctm::default(),
+            join: BootstrapManager::new(seed),
             next_housekeeping: SimTime::ZERO,
             stats: NodeStats::default(),
         }
@@ -228,63 +213,38 @@ impl BrunetNode {
     ) {
         self.running = true;
         self.my_uris = UriSet::new(local_uri);
-        self.bootstrap.configure(&bootstrap);
-        self.next_join_attempt = now + self.cfg.join_retry;
+        self.join.start(now, &bootstrap, self.cfg.join_retry);
         self.next_housekeeping = now + HOUSEKEEPING;
         self.try_bootstrap(now, sink);
     }
 
-    /// Kick (or continue) the wildcard join through the introducer cache.
-    ///
-    /// With a single cached introducer this is the whole-list funnel: one
-    /// wildcard attempt walking the URI list on the standard `link_retries`
-    /// budget (`tests/driver_differential.rs` pins that transcript's
-    /// digest). With several introducers cached it funnels
-    /// through one seeded-random candidate at a time on the short
-    /// `INTRODUCER_RETRIES` budget, falling through the cache on failure.
+    /// Dial the introducer cache (the join part chooses how).
     fn try_bootstrap<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
-        if self.bootstrap.is_empty() || self.linking.has_attempt(WILDCARD) {
-            return;
+        if self.join.dial(now, &mut self.linking, sink) {
+            self.drive_linking(now, sink);
         }
-        if self.bootstrap.len() == 1 {
-            self.current_introducer = self.bootstrap.uris().first().copied();
-            self.linking
-                .start(now, WILDCARD, ConnType::Leaf, self.bootstrap.uris());
-        } else {
-            let Some(uri) = self.bootstrap.next_candidate(now) else {
-                return;
-            };
-            self.current_introducer = Some(uri);
-            sink.count(Counter::IntroducerTried);
-            self.linking.start_with_budget(
-                now,
-                WILDCARD,
-                ConnType::Leaf,
-                vec![uri],
-                Some(INTRODUCER_RETRIES),
-            );
-        }
-        self.drive_linking(now, sink);
     }
 
     /// The persistent join state: a snapshot of the introducer cache that a
     /// runtime can stash before [`BrunetNode::restart`] (which clean-slates
     /// it) and re-seed afterwards via [`BrunetNode::restore_join_state`].
     pub fn join_state(&self) -> JoinState {
-        self.bootstrap.join_state()
+        self.join.join_state()
     }
 
     /// Re-seed the introducer cache from a saved [`JoinState`] (failure
     /// counts survive; backoff deadlines do not — the restart clock is
     /// unrelated to the one the deadlines were set under).
     pub fn restore_join_state(&mut self, state: &JoinState) {
-        self.bootstrap.restore(state);
+        self.join.restore(state);
     }
 
     /// Restart after a migration: all overlay state is discarded (the
     /// paper's "kill and restart the user-level IPOP program"), the node
     /// re-binds and rejoins, keeping its overlay address and therefore its
-    /// ring position.
+    /// ring position. What survives is the node's identity: its RNG
+    /// streams continue, CTM tokens keep counting and [`NodeStats`] carry
+    /// over.
     pub fn restart<S: NodeSink + ?Sized>(
         &mut self,
         now: SimTime,
@@ -298,11 +258,8 @@ impl BrunetNode {
         self.near = NearOverlord::new();
         self.far = FarOverlord::new();
         self.shortcut.clear();
-        self.pending_ctm.clear();
-        self.probe_rounds = 0;
-        self.bootstrap.reset();
-        self.current_introducer = None;
-        self.leaf_peer = None;
+        self.ctm.reset();
+        self.join.reset();
         self.start(now, local_uri, bootstrap, sink);
     }
 
@@ -398,7 +355,7 @@ impl BrunetNode {
         };
         match frame {
             Frame::Link(msg) => self.on_link_msg(now, src, msg, sink),
-            Frame::Routed(pkt) => self.on_routed(now, src, pkt, sink),
+            Frame::Routed(pkt) => self.route_packet(now, pkt, Some(src), sink),
         }
     }
 
@@ -414,28 +371,17 @@ impl BrunetNode {
         data: Bytes,
         sink: &mut S,
     ) -> Option<Bytes> {
-        // Same bounce-back suppression as the decode path.
-        let exclude = self.conns.peer_by_remote(src);
-        let excludes: &[Address] = match &exclude {
-            Some(e) => std::slice::from_ref(e),
-            None => &[],
+        let NextHop::Relay(c) = self.conns.route(self.addr, h.dst, Some(src), None) else {
+            return Some(data);
         };
-        let remote = match self.conns.next_hop(self.addr, h.dst, excludes) {
-            NextHop::Relay(c) => c.remote,
-            NextHop::Local => return Some(data),
-        };
-        if h.hops >= h.ttl {
-            self.stats.dropped_ttl += 1;
-            sink.count(Counter::DroppedTtl);
+        if !self.stats.spend_hop(h.hops, h.ttl, sink) {
             return None;
         }
-        self.stats.forwarded += 1;
-        sink.count(Counter::Forwarded);
         sink.count(Counter::TransitFastPath);
         sink.add_count(Counter::TransitBytes, data.len() as u64);
         // A freshly received datagram uniquely owns its buffer, so the hop
         // byte is patched in place and the same allocation goes back out.
-        sink.send(remote, RoutedHeader::patch_hops(data, h.hops + 1));
+        sink.send(c.remote, RoutedHeader::patch_hops(data, h.hops + 1));
         None
     }
 
@@ -468,296 +414,44 @@ impl BrunetNode {
         self.stats.app_sent += 1;
         sink.count(Counter::AppSent);
         self.observe_traffic(now, dst, sink);
-        let pkt = Packet {
+        let pkt = self.packet(dst, Body::App { proto, data });
+        self.route_packet(now, pkt, None, sink);
+    }
+
+    /// A packet we originate: a fresh hop budget, not edge-forwarded.
+    fn packet(&self, dst: Address, body: Body) -> Packet {
+        Packet {
             src: self.addr,
             dst,
             hops: 0,
             ttl: self.cfg.ttl,
             edge_forwarded: false,
-            body: Body::App { proto, data },
-        };
-        self.route_packet(now, pkt, None, false, sink);
-    }
-
-    // -------------------------------------------------------- link layer --
-
-    fn send_frame<S: NodeSink + ?Sized>(&self, to: PhysAddr, frame: Frame, sink: &mut S) {
-        sink.send(to, frame.encode());
-    }
-
-    fn on_link_msg<S: NodeSink + ?Sized>(
-        &mut self,
-        now: SimTime,
-        src: PhysAddr,
-        msg: LinkMsg,
-        sink: &mut S,
-    ) {
-        // Endpoint roaming: a link-level message from a known peer arriving
-        // from a new underlay address means its NAT mapping changed (the
-        // paper's home node did this repeatedly; §VI credits the overlay
-        // with re-establishing through translation changes). The message's
-        // source is a proven return path — adopt it.
-        let from_addr = match &msg {
-            LinkMsg::LinkRequest { from, .. }
-            | LinkMsg::LinkReply { from, .. }
-            | LinkMsg::LinkError { from, .. }
-            | LinkMsg::Ping { from, .. }
-            | LinkMsg::Pong { from, .. }
-            | LinkMsg::NeighborQuery { from }
-            | LinkMsg::NeighborReply { from, .. } => *from,
-        };
-        self.conns.update_remote(from_addr, src);
-        match msg {
-            LinkMsg::LinkRequest {
-                from,
-                target,
-                ctype,
-                attempt,
-            } => {
-                if from == self.addr {
-                    return; // a private-URI collision bounced our own request back
-                }
-                if target != self.addr && target != WILDCARD {
-                    self.send_frame(
-                        src,
-                        Frame::Link(LinkMsg::LinkError {
-                            from: self.addr,
-                            attempt,
-                            reason: LinkErrorReason::WrongNode,
-                        }),
-                        sink,
-                    );
-                    return;
-                }
-                if self.conns.get(from).is_some() {
-                    // Duplicate/refresh: stay idempotent.
-                    self.record_conn(now, from, ctype, src, sink);
-                    self.send_frame(
-                        src,
-                        Frame::Link(LinkMsg::LinkReply {
-                            from: self.addr,
-                            attempt,
-                            observed: src,
-                        }),
-                        sink,
-                    );
-                    self.pinger.heard(from, now, &self.cfg);
-                    return;
-                }
-                if self.linking.has_active_attempt(from) && self.linking.unanswered_sends(from) < 3
-                {
-                    // The paper's race rule: tell the peer to stand down.
-                    // Exception: if several of our own requests have already
-                    // vanished while the peer's request reached us, their
-                    // path works and ours does not (symmetric-NAT peers look
-                    // exactly like this) — yield instead of deadlocking.
-                    self.send_frame(
-                        src,
-                        Frame::Link(LinkMsg::LinkError {
-                            from: self.addr,
-                            attempt,
-                            reason: LinkErrorReason::InRace,
-                        }),
-                        sink,
-                    );
-                    return;
-                }
-                // Passive accept (this also covers the case where our own
-                // attempt is backed off after a race: we yield to the peer).
-                self.linking.satisfied(from);
-                self.record_conn(now, from, ctype, src, sink);
-                self.send_frame(
-                    src,
-                    Frame::Link(LinkMsg::LinkReply {
-                        from: self.addr,
-                        attempt,
-                        observed: src,
-                    }),
-                    sink,
-                );
-            }
-            LinkMsg::LinkReply {
-                from,
-                attempt,
-                observed,
-            } => {
-                self.my_uris.learn_observed(TransportUri::udp(observed));
-                let mut cmds = Vec::new();
-                self.linking.on_reply(from, attempt, src, &mut cmds);
-                // A wildcard (bootstrap) attempt matches by attempt id.
-                let mut wildcard_peer = None;
-                if cmds.is_empty() {
-                    self.linking.on_reply(WILDCARD, attempt, src, &mut cmds);
-                    if !cmds.is_empty() {
-                        // The introducer answered: clear its demotion so the
-                        // next restart tries proven-live introducers first.
-                        if let Some(uri) = self.current_introducer.take() {
-                            self.bootstrap.record_success(uri);
-                        }
-                    }
-                    // Rewrite the wildcard peer to the actual responder.
-                    for c in &mut cmds {
-                        if let LinkCmd::Established { peer, .. } = c {
-                            if *peer == WILDCARD {
-                                *peer = from;
-                            }
-                            wildcard_peer = Some(*peer);
-                        }
-                    }
-                }
-                self.exec_link_cmds(now, cmds, sink);
-                // A self-initiated wildcard join that landed while an
-                // earlier leaf holds `leaf_peer` (an inbound joiner beat us,
-                // or we are escaping a marooned pair) still needs its join
-                // CTM — routed via the introducer that just answered, not
-                // the stale leaf.
-                if let Some(peer) = wildcard_peer {
-                    if self.leaf_peer != Some(peer) {
-                        self.send_join_ctm_via(now, peer, sink);
-                    }
-                }
-            }
-            LinkMsg::LinkError {
-                from,
-                attempt,
-                reason,
-            } => match reason {
-                LinkErrorReason::InRace => {
-                    sink.count(Counter::LinkRaceBackoff);
-                    self.linking
-                        .on_race_error(now, from, attempt, &self.cfg, &mut self.rng);
-                }
-                LinkErrorReason::WrongNode => {
-                    self.linking.on_wrong_node(now, attempt);
-                    self.drive_linking(now, sink);
-                }
-                LinkErrorReason::NotConnected => {
-                    // Our keepalive hit a peer that no longer knows us.
-                    if let Some(c) = self.conns.remove(from) {
-                        if c.types.contains(ConnType::StructuredNear) {
-                            self.near_lost(sink);
-                        }
-                        self.forget_peer(from, sink);
-                    }
-                }
-            },
-            LinkMsg::Ping { from, nonce } => {
-                if self.conns.get(from).is_some() {
-                    self.pinger.heard(from, now, &self.cfg);
-                    self.send_frame(
-                        src,
-                        Frame::Link(LinkMsg::Pong {
-                            from: self.addr,
-                            nonce,
-                            observed: src,
-                        }),
-                        sink,
-                    );
-                } else {
-                    self.send_frame(
-                        src,
-                        Frame::Link(LinkMsg::LinkError {
-                            from: self.addr,
-                            attempt: nonce,
-                            reason: LinkErrorReason::NotConnected,
-                        }),
-                        sink,
-                    );
-                }
-            }
-            LinkMsg::Pong {
-                from,
-                nonce,
-                observed,
-            } => {
-                self.my_uris.learn_observed(TransportUri::udp(observed));
-                self.pinger.on_pong(from, nonce, now, &self.cfg);
-            }
-            LinkMsg::NeighborQuery { from } => {
-                if self.conns.get(from).is_some() {
-                    self.pinger.heard(from, now, &self.cfg);
-                    let mut neighbors = self.conns.nearest_cw(self.addr, self.cfg.near_per_side);
-                    neighbors.extend(self.conns.nearest_ccw(self.addr, self.cfg.near_per_side));
-                    neighbors.dedup();
-                    self.send_frame(
-                        src,
-                        Frame::Link(LinkMsg::NeighborReply {
-                            from: self.addr,
-                            neighbors,
-                            observed: src,
-                        }),
-                        sink,
-                    );
-                }
-            }
-            LinkMsg::NeighborReply {
-                from,
-                neighbors,
-                observed,
-            } => {
-                if self.conns.get(from).is_some() {
-                    // Stabilization doubles as the recurring STUN echo: a
-                    // node whose NAT mapping changed relearns its public
-                    // URI here within one stabilize interval.
-                    self.my_uris.learn_observed(TransportUri::udp(observed));
-                    self.pinger.heard(from, now, &self.cfg);
-                    let mut cmds = Vec::new();
-                    self.near.on_neighbor_reply(
-                        self.addr,
-                        &self.conns,
-                        &neighbors,
-                        &self.cfg,
-                        &mut cmds,
-                    );
-                    self.exec_overlord_cmds(now, cmds, sink);
-                }
-            }
+            body,
         }
     }
 
     // ------------------------------------------------------ routed layer --
 
-    fn on_routed<S: NodeSink + ?Sized>(
-        &mut self,
-        now: SimTime,
-        src: PhysAddr,
-        pkt: Packet,
-        sink: &mut S,
-    ) {
-        // Suppress bouncing a packet straight back where it came from.
-        let exclude = self.conns.peer_by_remote(src);
-        self.route_packet(now, pkt, exclude, true, sink);
-    }
-
-    /// Forward or deliver a routed packet. `transit` marks packets that
-    /// arrived from the wire (as opposed to self-originated ones), so
-    /// decode-path transit forwards are visible next to the fast path's.
+    /// Forward or deliver a routed packet. `from` is the endpoint it
+    /// arrived from, `None` for packets we originate; decode-path transit
+    /// forwards are counted next to the fast path's.
     fn route_packet<S: NodeSink + ?Sized>(
         &mut self,
         now: SimTime,
         mut pkt: Packet,
-        exclude: Option<Address>,
-        transit: bool,
+        from: Option<PhysAddr>,
         sink: &mut S,
     ) {
-        // Self-addressed CTMs (joins and ring probes) must reach the
-        // nearest node *other than their source*; never forward them to
-        // the source itself.
-        let probe_exclude = if pkt.src == pkt.dst && matches!(pkt.body, Body::CtmRequest { .. }) {
-            Some(pkt.dst)
-        } else {
-            None
-        };
+        let is_ctm_request = matches!(pkt.body, Body::CtmRequest { .. });
         if pkt.dst == self.addr {
-            // Relay unwrapping for CTM replies addressed to us as relay.
-            if let Body::CtmReply { for_node, .. } = &pkt.body {
-                if *for_node != self.addr {
-                    let for_node = *for_node;
-                    match self.conns.get(for_node) {
-                        Some(c) => {
-                            let remote = c.remote;
+            // Relay unwrapping: a CTM reply addressed to us as the
+            // requester's relay goes on over our link to the requester.
+            if let Body::CtmReply { for_node, .. } = pkt.body {
+                if for_node != self.addr {
+                    match self.conns.get(for_node).map(|c| c.remote) {
+                        Some(remote) => {
                             pkt.dst = for_node;
-                            self.send_frame(remote, Frame::Routed(pkt), sink);
+                            sink.send(remote, Frame::Routed(pkt).encode());
                         }
                         None => {
                             self.stats.dropped_relay += 1;
@@ -771,38 +465,28 @@ impl BrunetNode {
             return;
         }
         // Edge-forwarded CTMs are processed where they land.
-        if pkt.edge_forwarded && matches!(pkt.body, Body::CtmRequest { .. }) {
+        if pkt.edge_forwarded && is_ctm_request {
             self.deliver_local(now, pkt, false, sink);
             return;
         }
-        let mut excludes = [Address::ZERO; 2];
-        let mut n_excludes = 0;
-        for e in [exclude, probe_exclude].into_iter().flatten() {
-            excludes[n_excludes] = e;
-            n_excludes += 1;
-        }
-        match self
-            .conns
-            .next_hop(self.addr, pkt.dst, &excludes[..n_excludes])
-        {
+        // Self-addressed CTMs (joins and ring probes) must reach the
+        // nearest node *other than their source*.
+        let skip = (is_ctm_request && pkt.src == pkt.dst).then_some(pkt.src);
+        match self.conns.route(self.addr, pkt.dst, from, skip) {
+            NextHop::Local => self.deliver_local(now, pkt, false, sink),
             NextHop::Relay(c) => {
-                if pkt.hops >= pkt.ttl {
-                    self.stats.dropped_ttl += 1;
-                    sink.count(Counter::DroppedTtl);
+                let remote = c.remote;
+                if !self.stats.spend_hop(pkt.hops, pkt.ttl, sink) {
                     return;
                 }
                 pkt.hops += 1;
-                let remote = c.remote;
-                self.stats.forwarded += 1;
-                sink.count(Counter::Forwarded);
                 let frame = Frame::Routed(pkt).encode();
-                if transit {
+                if from.is_some() {
                     sink.count(Counter::TransitSlowPath);
                     sink.add_count(Counter::TransitBytes, frame.len() as u64);
                 }
                 sink.send(remote, frame);
             }
-            NextHop::Local => self.deliver_local(now, pkt, false, sink),
         }
     }
 
@@ -814,89 +498,17 @@ impl BrunetNode {
         sink: &mut S,
     ) {
         match pkt.body {
-            Body::CtmRequest {
-                token,
-                ctype,
-                uris,
-                reply_relay,
-            } => {
-                if pkt.src == self.addr {
-                    // Our own join CTM came back: we are the nearest node —
-                    // an overlay of one. Nothing to connect to yet.
-                    return;
-                }
-                // Answer with our URIs. A requester we already hold a
-                // connection to — the usual case for a ring probe that
-                // confirms its successor — gets the reply as one frame over
-                // that connection. Otherwise it is routed, through the
-                // requester's relay if it named one: the relay exists for a
-                // responder with no link to the requester yet.
-                let mut reply = Packet {
-                    src: self.addr,
-                    dst: pkt.src,
-                    hops: 0,
-                    ttl: self.cfg.ttl,
-                    edge_forwarded: false,
-                    body: Body::CtmReply {
-                        token,
-                        responder: self.addr,
-                        uris: self.advertised_uris(),
-                        for_node: pkt.src,
-                    },
-                };
-                match self.conns.get(pkt.src) {
-                    Some(c) => {
-                        let remote = c.remote;
-                        self.send_frame(remote, Frame::Routed(reply), sink);
-                    }
-                    None => {
-                        reply.dst = reply_relay.unwrap_or(pkt.src);
-                        self.route_packet(now, reply, None, false, sink);
-                    }
-                }
-                // Start linking toward the requester (bidirectional rule).
-                self.connect_to(now, pkt.src, ctype, uris.clone(), sink);
-                // Nearest-delivery join semantics: hand one copy to the
-                // neighbour on the other side of the requested address so
-                // both future ring neighbours answer.
-                if !exact && !pkt.edge_forwarded {
-                    let dst_is_cw = self.addr.dist_cw(pkt.dst) <= pkt.dst.dist_cw(self.addr);
-                    let other_side = if dst_is_cw {
-                        self.conns.nearest_cw(pkt.dst, 2)
-                    } else {
-                        self.conns.nearest_ccw(pkt.dst, 2)
-                    };
-                    if let Some(&n) = other_side.iter().find(|&&n| n != pkt.src) {
-                        {
-                            if let Some(c) = self.conns.get(n) {
-                                let fwd = Packet {
-                                    edge_forwarded: true,
-                                    hops: pkt.hops.saturating_add(1),
-                                    body: Body::CtmRequest {
-                                        token,
-                                        ctype,
-                                        uris,
-                                        reply_relay,
-                                    },
-                                    ..pkt
-                                };
-                                self.send_frame(c.remote, Frame::Routed(fwd), sink);
-                            }
-                        }
-                    }
-                }
-            }
+            Body::CtmRequest { .. } => self.answer_ctm(now, pkt, exact, sink),
             Body::CtmReply {
                 token,
                 responder,
                 uris,
                 ..
             } => {
-                let Some(pending) = self.pending_ctm.get(&token) else {
-                    return; // stale or duplicate
-                };
-                let ctype = pending.ctype;
-                self.connect_to(now, responder, ctype, uris, sink);
+                // A stale or duplicate token answers nothing.
+                if let Some(ctype) = self.ctm.answered(token) {
+                    self.connect_to(now, responder, ctype, uris, sink);
+                }
             }
             Body::App { proto, data } => {
                 if exact {
@@ -918,7 +530,7 @@ impl BrunetNode {
         }
     }
 
-    // -------------------------------------------------- protocol drivers --
+    // ------------------------------------------------------- connections --
 
     /// Establish (or upgrade) a connection to `peer` using its URI list.
     fn connect_to<S: NodeSink + ?Sized>(
@@ -929,19 +541,31 @@ impl BrunetNode {
         uris: Vec<TransportUri>,
         sink: &mut S,
     ) {
-        if peer == self.addr {
-            return;
-        }
-        if let Some(c) = self.conns.get(peer) {
-            let remote = c.remote;
-            self.record_conn(now, peer, ctype, remote, sink);
-            return;
-        }
-        if self.linking.has_attempt(peer) {
+        if peer == self.addr
+            || self.claim_in_place(now, peer, ctype, sink)
+            || self.linking.has_attempt(peer)
+        {
             return;
         }
         self.linking.start(now, peer, ctype, uris);
         self.drive_linking(now, sink);
+    }
+
+    /// Already linked to `peer`: claim `ctype` on that connection instead of
+    /// asking anew, which the very peer we hold would answer. Returns
+    /// whether `peer` is linked.
+    fn claim_in_place<S: NodeSink + ?Sized>(
+        &mut self,
+        now: SimTime,
+        peer: Address,
+        ctype: ConnType,
+        sink: &mut S,
+    ) -> bool {
+        let Some(remote) = self.conns.get(peer).map(|c| c.remote) else {
+            return false;
+        };
+        self.record_conn(now, peer, ctype, remote, sink);
+        true
     }
 
     /// Record an established connection / added role, and emit events.
@@ -956,11 +580,7 @@ impl BrunetNode {
         let outcome = self.conns.upsert(peer, ctype, remote, now);
         if outcome.new_peer {
             self.pinger.track(peer, now, &self.cfg);
-            // Any directly linked peer has proven it can introduce us:
-            // remember it, so the cache survives introducer loss (and a
-            // seed node with an empty configured list can still rejoin).
-            self.bootstrap
-                .learn(TransportUri::udp(remote), MAX_INTRODUCERS);
+            self.join.learn_peer(remote);
         }
         if outcome.new_role {
             if ctype == ConnType::StructuredNear {
@@ -973,390 +593,72 @@ impl BrunetNode {
                 // time, so the nodes it knows between us — often our true
                 // ring neighbours — would never reach us. The immediate
                 // round-trip lands well inside the trim window.
-                self.send_frame(
-                    remote,
-                    Frame::Link(LinkMsg::NeighborQuery { from: self.addr }),
-                    sink,
-                );
+                self.send_neighbor_query(remote, sink);
             }
             sink.event(NodeEvent::Connected { peer, ctype });
         }
-        if ctype == ConnType::Leaf && self.leaf_peer.is_none() {
-            self.leaf_peer = Some(peer);
-            self.send_join_ctm(now, sink);
+        // The first leaf takes the join slot and relays our join CTM.
+        if ctype == ConnType::Leaf && self.join.leaf.is_none() {
+            self.join.leaf = Some(peer);
+            self.send_join_ctm(now, peer, sink);
         }
     }
 
-    /// The one teardown for a peer whose connection is gone — keepalive
-    /// timeout, its `NotConnected`, or our own trim: stop pinging it,
-    /// report the disconnect and free the leaf slot. A joiner that kept a
-    /// dead leaf would route every join retry into a relay it no longer
-    /// holds, and `Rebootstrap` waits for an empty slot, so it would never
-    /// dial an introducer again.
-    fn forget_peer<S: NodeSink + ?Sized>(&mut self, peer: Address, sink: &mut S) {
+    /// The one teardown — keepalive timeout, the peer's `NotConnected`, or
+    /// our own trim: shed `role` from `peer`'s connection (`None`: all of
+    /// it). A lost near role brings the ring probe back. If the connection
+    /// went, the peer is forgotten and the leaf slot freed — a joiner that
+    /// kept a dead leaf would route every join retry into it and never
+    /// dial an introducer again. Returns the gone connection's endpoint.
+    fn teardown<S: NodeSink + ?Sized>(
+        &mut self,
+        peer: Address,
+        role: Option<ConnType>,
+        sink: &mut S,
+    ) -> Option<PhysAddr> {
+        let c = self.conns.get(peer)?;
+        let remote = c.remote;
+        let near_lost = c.types.contains(ConnType::StructuredNear)
+            && role.is_none_or(|r| r == ConnType::StructuredNear);
+        let gone = match role {
+            Some(r) => self.conns.remove_role(peer, r),
+            None => self.conns.remove(peer).is_some(),
+        };
+        if near_lost {
+            sink.count(Counter::NearLost);
+            self.near.near_set_changed();
+        }
+        if !gone {
+            return None;
+        }
         self.pinger.untrack(peer);
         sink.event(NodeEvent::Disconnected { peer });
-        if self.leaf_peer == Some(peer) {
-            self.leaf_peer = None;
+        if self.join.leaf == Some(peer) {
+            self.join.leaf = None;
         }
+        Some(remote)
     }
 
-    /// A structured-near role is gone — keepalive timeout, the peer's
-    /// `NotConnected`, or our own trim: count it and probe the ring again
-    /// at the next stabilize round.
-    fn near_lost<S: NodeSink + ?Sized>(&mut self, sink: &mut S) {
-        sink.count(Counter::NearLost);
-        self.near.near_set_changed();
-    }
-
-    /// Send the self-addressed CTM that discovers our ring neighbours.
-    fn send_join_ctm<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
-        let Some(leaf) = self.leaf_peer else {
-            return;
-        };
-        self.send_join_ctm_via(now, leaf, sink);
-    }
-
-    /// Send the join CTM via a specific directly-connected relay.
-    ///
-    /// A wildcard join completed while an earlier leaf already exists (an
-    /// inbound joiner grabbed `leaf_peer` first, or the node is escaping a
-    /// marooned pair) must route its CTM through the *new* introducer: the
-    /// stale `leaf_peer` would bounce it around the old component.
-    fn send_join_ctm_via<S: NodeSink + ?Sized>(
-        &mut self,
-        now: SimTime,
-        relay: Address,
-        sink: &mut S,
-    ) {
-        let Some(c) = self.conns.get(relay) else {
-            return;
-        };
-        let remote = c.remote;
-        let token = self.alloc_ctm(
-            now,
-            self.addr,
-            ConnType::StructuredNear,
-            Counter::CtmJoin,
-            sink,
-        );
-        let pkt = Packet {
-            src: self.addr,
-            dst: self.addr,
-            hops: 0,
-            ttl: self.cfg.ttl,
-            edge_forwarded: false,
-            body: Body::CtmRequest {
-                token,
-                ctype: ConnType::StructuredNear,
-                uris: self.advertised_uris(),
-                reply_relay: Some(relay),
-            },
-        };
-        self.send_frame(remote, Frame::Routed(pkt), sink);
-    }
-
-    /// Send a routed CTM to a target address.
-    fn send_ctm<S: NodeSink + ?Sized>(
-        &mut self,
-        now: SimTime,
-        target: Address,
-        ctype: ConnType,
-        sink: &mut S,
-    ) {
-        let kind = match ctype {
-            ConnType::Shortcut => Counter::CtmShortcut,
-            ConnType::StructuredFar => Counter::CtmFar,
-            _ => Counter::CtmNear,
-        };
-        let token = self.alloc_ctm(now, target, ctype, kind, sink);
-        let pkt = Packet {
-            src: self.addr,
-            dst: target,
-            hops: 0,
-            ttl: self.cfg.ttl,
-            edge_forwarded: false,
-            body: Body::CtmRequest {
-                token,
-                ctype,
-                uris: self.advertised_uris(),
-                reply_relay: None,
-            },
-        };
-        self.route_packet(now, pkt, None, false, sink);
-    }
-
-    /// Verify our ring position: a self-addressed CTM launched through a
-    /// random direct connection. Routing excludes the source, so the
-    /// probe lands on the true nearest *other* node — escaping the local
-    /// optima that neighbour-of-neighbour stabilization alone can reach
-    /// when a mass join leaves a node with distant "near" links.
-    ///
-    /// Every connection type is a candidate entry point, leaves included.
-    /// That matters for ring *merges*: a flash crowd of concurrent joins
-    /// can interleave two complete rings over the same address space, and
-    /// within either ring gossip, far-link CTMs and greedy-routed probes
-    /// are all trapped (each mechanism only ever reaches the ring it
-    /// started in). A joiner's leaf to its introducer is often the one
-    /// edge that crosses the split; a probe injected through it greedy-
-    /// routes over the *other* ring, finds that ring's nearest-to-us node,
-    /// links it, and seeds the merge that stabilization then propagates.
-    ///
-    /// Cadence: the near overlord launches a probe on the first stabilize
-    /// round, then doubles the wait after each one up to 8 rounds, and
-    /// drops back to every round whenever the structured-near set changes;
-    /// a node with no near link yet probes every round.
-    /// On a converged ring a probe only confirms a successor we already
-    /// hold, and that successor answers over its connection to us, so the
-    /// steady-state cost is the request's hops plus two one-hop replies
-    /// once per 8 rounds. A probe that does find a new neighbour links it,
-    /// and that link is itself a near-set change.
-    fn send_ring_probe<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
-        use rand::seq::IteratorRandom;
-        self.probe_rounds = self.probe_rounds.wrapping_add(1);
-        // Every 4th probe enters through a cached introducer endpoint we
-        // hold no connection to. Connection-entry probes cannot escape a
-        // component with no outbound edges: after a long partition heals,
-        // each side is a complete, self-consistent ring over the same
-        // address space, every cross-ring connection long since reaped by
-        // keepalives — and a probe injected anywhere in our own component
-        // terminates at a node that already knows us. The introducer cache
-        // predates the partition, so its endpoints land in *either* ring;
-        // the probe greedy-routes over whichever component answers, and its
-        // terminal links back to us (the CTM carries our URIs), seeding the
-        // merge. No reply relay: the responder dials us directly.
-        if self.probe_rounds % 4 == 0 {
-            let own = self.advertised_uris();
-            let entry = self
-                .bootstrap
-                .uris()
-                .into_iter()
-                .filter(|u| self.conns.peer_by_remote(u.addr).is_none() && !own.contains(u))
-                .choose(&mut self.rng);
-            if let Some(uri) = entry {
-                let token = self.alloc_ctm(
-                    now,
-                    self.addr,
-                    ConnType::StructuredNear,
-                    Counter::CtmRingProbe,
-                    sink,
-                );
-                let pkt = Packet {
-                    src: self.addr,
-                    dst: self.addr,
-                    hops: 0,
-                    ttl: self.cfg.ttl,
-                    edge_forwarded: false,
-                    body: Body::CtmRequest {
-                        token,
-                        ctype: ConnType::StructuredNear,
-                        uris: self.advertised_uris(),
-                        reply_relay: None,
-                    },
-                };
-                self.send_frame(uri.addr, Frame::Routed(pkt), sink);
-                return;
-            }
-        }
-        let Some((relay_peer, first_hop)) = self
-            .conns
-            .iter()
-            .map(|c| (c.peer, c.remote))
-            .choose(&mut self.rng)
-        else {
-            return;
-        };
-        let token = self.alloc_ctm(
-            now,
-            self.addr,
-            ConnType::StructuredNear,
-            Counter::CtmRingProbe,
-            sink,
-        );
-        let pkt = Packet {
-            src: self.addr,
-            dst: self.addr,
-            hops: 0,
-            ttl: self.cfg.ttl,
-            edge_forwarded: false,
-            body: Body::CtmRequest {
-                token,
-                ctype: ConnType::StructuredNear,
-                uris: self.advertised_uris(),
-                // A responder with no link to us replies through the
-                // first-hop peer, which has a proven direct link to us.
-                // Routing the reply straight to our address could dead-end
-                // at the very successor the probe exists to discover.
-                // Responders we are linked to answer directly.
-                reply_relay: Some(relay_peer),
-            },
-        };
-        self.send_frame(first_hop, Frame::Routed(pkt), sink);
-    }
-
-    fn alloc_ctm<S: NodeSink + ?Sized>(
-        &mut self,
-        now: SimTime,
-        target: Address,
-        ctype: ConnType,
-        kind: Counter,
-        sink: &mut S,
-    ) -> u64 {
-        let token = self.next_token;
-        self.next_token += 1;
-        self.stats.ctm_sent += 1;
-        sink.count(kind);
-        self.pending_ctm.insert(
-            token,
-            PendingCtm {
-                target,
-                ctype,
-                expires: now + CTM_TIMEOUT,
-            },
-        );
-        token
-    }
-
-    fn has_pending_ctm(&self, target: Address) -> bool {
-        self.pending_ctm.values().any(|p| p.target == target)
-    }
-
-    fn pending_far_count(&self) -> usize {
-        self.pending_ctm
-            .values()
-            .filter(|p| p.ctype == ConnType::StructuredFar)
-            .count()
-    }
-
-    /// Count one tunnelled packet to/from `peer` and trigger a shortcut CTM
+    /// Count one tunnelled packet to/from `peer` and ask for a shortcut
     /// when the score rule fires.
     fn observe_traffic<S: NodeSink + ?Sized>(&mut self, now: SimTime, peer: Address, sink: &mut S) {
-        let crossed = self.shortcut.on_traffic(now, peer, &self.cfg);
-        if !crossed {
+        if !self.shortcut.on_traffic(now, peer, &self.cfg) {
             return;
         }
         sink.count(Counter::ShortcutCross);
         if self.cfg.max_shortcuts == 0 {
             return;
         }
-        if let Some(c) = self.conns.get(peer) {
-            if !c.types.contains(ConnType::Shortcut) {
-                // Already directly linked for another reason; claim the
-                // shortcut role so the idle logic manages it.
-                let remote = c.remote;
-                self.record_conn(now, peer, ConnType::Shortcut, remote, sink);
-            }
-            return;
-        }
-        let shortcuts = self.conns.with_type(ConnType::Shortcut).count();
-        if shortcuts >= self.cfg.max_shortcuts
-            || self.has_pending_ctm(peer)
-            || self.linking.has_attempt(peer)
+        // The cap bounds new links; a linked peer claims the role in place.
+        if self.conns.get(peer).is_none()
+            && self.conns.with_type(ConnType::Shortcut).count() >= self.cfg.max_shortcuts
         {
             return;
         }
-        self.send_ctm(now, peer, ConnType::Shortcut, sink);
+        self.request_ctm(now, peer, ConnType::Shortcut, sink);
     }
 
-    fn drive_linking<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
-        if self.linking.next_deadline().is_none_or(|d| d > now) {
-            return;
-        }
-        let mut cmds = Vec::new();
-        self.linking.poll(now, &self.cfg, &mut cmds);
-        self.exec_link_cmds(now, cmds, sink);
-    }
-
-    fn exec_link_cmds<S: NodeSink + ?Sized>(
-        &mut self,
-        now: SimTime,
-        cmds: Vec<LinkCmd>,
-        sink: &mut S,
-    ) {
-        for cmd in cmds {
-            match cmd {
-                LinkCmd::SendRequest {
-                    to,
-                    target,
-                    ctype,
-                    attempt,
-                } => {
-                    sink.count(Counter::LinkRequestSent);
-                    self.send_frame(
-                        to,
-                        Frame::Link(LinkMsg::LinkRequest {
-                            from: self.addr,
-                            target,
-                            ctype,
-                            attempt,
-                        }),
-                        sink,
-                    );
-                }
-                LinkCmd::Established {
-                    peer,
-                    ctype,
-                    remote,
-                } => {
-                    sink.count(Counter::LinkEstablished);
-                    self.record_conn(now, peer, ctype, remote, sink);
-                }
-                LinkCmd::Failed { peer, ctype } => {
-                    sink.count(Counter::LinkFailed);
-                    sink.event(NodeEvent::LinkFailed { peer, ctype });
-                    if peer == WILDCARD {
-                        // The introducer funnel collapsed: demote the
-                        // candidate and fall through the cache. A fresh
-                        // attempt cannot fail on its first poll, so the
-                        // recursion terminates.
-                        if let Some(uri) = self.current_introducer.take() {
-                            self.bootstrap.record_failure(uri, now, INTRODUCER_BACKOFF);
-                        }
-                        if self.bootstrap.len() > 1 {
-                            sink.count(Counter::IntroducerFallback);
-                            self.try_bootstrap(now, sink);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    fn drive_pinger<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
-        if self.pinger.next_deadline().is_none_or(|d| d > now) {
-            return;
-        }
-        let mut cmds = Vec::new();
-        self.pinger.poll(now, &self.cfg, &mut cmds);
-        for cmd in cmds {
-            match cmd {
-                PingCmd::SendPing { peer, nonce } => {
-                    if let Some(c) = self.conns.get(peer) {
-                        let remote = c.remote;
-                        self.send_frame(
-                            remote,
-                            Frame::Link(LinkMsg::Ping {
-                                from: self.addr,
-                                nonce,
-                            }),
-                            sink,
-                        );
-                    } else {
-                        self.pinger.untrack(peer);
-                    }
-                }
-                PingCmd::Dead { peer } => {
-                    if let Some(c) = self.conns.remove(peer) {
-                        if c.types.contains(ConnType::StructuredNear) {
-                            self.near_lost(sink);
-                        }
-                        sink.count(Counter::PeerDead);
-                        self.forget_peer(peer, sink);
-                    }
-                }
-            }
-        }
-    }
+    // ------------------------------------------------- protocol drivers --
 
     fn drive_overlords<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
         let near_due = now >= self.near.next_deadline();
@@ -1369,7 +671,7 @@ impl BrunetNode {
             .poll(now, self.addr, &self.conns, &self.cfg, &mut cmds);
         if far_due {
             // The census walks every pending CTM; only a due poll reads it.
-            let pending = self.pending_far_count();
+            let pending = self.ctm.pending_far_count();
             self.far.poll(
                 now,
                 self.addr,
@@ -1392,67 +694,29 @@ impl BrunetNode {
         for cmd in cmds {
             match cmd {
                 OverlordCmd::RequestCtm { target, ctype } => {
-                    if target == self.addr {
-                        continue;
-                    }
-                    if let Some(c) = self.conns.get(target) {
-                        // Linked already, for another role: claim this one
-                        // on the connection we have, as `connect_to` does.
-                        let remote = c.remote;
-                        self.record_conn(now, target, ctype, remote, sink);
-                    } else if !self.has_pending_ctm(target) && !self.linking.has_attempt(target) {
-                        self.send_ctm(now, target, ctype, sink);
-                    }
+                    self.request_ctm(now, target, ctype, sink);
                 }
                 OverlordCmd::DropRole { peer, ctype } => {
-                    if ctype == ConnType::StructuredNear
-                        && self
-                            .conns
-                            .get(peer)
-                            .is_some_and(|c| c.types.contains(ConnType::StructuredNear))
-                    {
-                        self.near_lost(sink);
-                    }
-                    let remote = self.conns.get(peer).map(|c| c.remote);
-                    if self.conns.remove_role(peer, ctype) {
-                        self.forget_peer(peer, sink);
-                        // Tell the peer it was dropped so it sheds its half
-                        // too. A silent trim leaves the peer with a one-way
-                        // connection: its queries and probes to us go
-                        // unanswered (we no longer know it), yet our linking
-                        // traffic keeps refreshing its keepalive — a phantom
-                        // that can anchor its ring view on the wrong
-                        // neighbour indefinitely.
-                        if let Some(remote) = remote {
-                            self.send_frame(
-                                remote,
-                                Frame::Link(LinkMsg::LinkError {
-                                    from: self.addr,
-                                    attempt: 0,
-                                    reason: LinkErrorReason::NotConnected,
-                                }),
-                                sink,
-                            );
-                        }
+                    // Tell the peer it was dropped so it sheds its half
+                    // too. A silent trim leaves the peer with a one-way
+                    // connection: its queries and probes to us go
+                    // unanswered (we no longer know it), yet our linking
+                    // traffic keeps refreshing its keepalive — a phantom
+                    // that can anchor its ring view on the wrong
+                    // neighbour indefinitely.
+                    if let Some(remote) = self.teardown(peer, Some(ctype), sink) {
+                        self.send_link_error(remote, 0, LinkErrorReason::NotConnected, sink);
                     }
                 }
                 OverlordCmd::RingProbe => self.send_ring_probe(now, sink),
                 OverlordCmd::Rebootstrap => {
-                    // Only honoured when the node really has fallen off the
-                    // overlay: no connections of any kind and no join in
-                    // flight.
-                    if !self.is_routable() && self.leaf_peer.is_none() && self.conns.is_empty() {
+                    if self.join.may_rebootstrap(&self.conns) {
                         self.try_bootstrap(now, sink);
                     }
                 }
                 OverlordCmd::SendNeighborQuery { peer } => {
-                    if let Some(c) = self.conns.get(peer) {
-                        let remote = c.remote;
-                        self.send_frame(
-                            remote,
-                            Frame::Link(LinkMsg::NeighborQuery { from: self.addr }),
-                            sink,
-                        );
+                    if let Some(remote) = self.conns.get(peer).map(|c| c.remote) {
+                        self.send_neighbor_query(remote, sink);
                     }
                 }
             }
@@ -1460,31 +724,19 @@ impl BrunetNode {
     }
 
     fn housekeeping<S: NodeSink + ?Sized>(&mut self, now: SimTime, sink: &mut S) {
-        self.pending_ctm.retain(|_, p| p.expires > now);
+        self.ctm.expire(now);
         // Shortcut idle release.
         let mut cmds = Vec::new();
         self.shortcut.poll(now, &self.conns, &mut cmds);
         self.exec_overlord_cmds(now, cmds, sink);
-        // Join retry: not yet routable and the retry timer elapsed.
-        if !self.is_routable() && now >= self.next_join_attempt {
-            self.next_join_attempt = now + self.cfg.join_retry;
-            if self.leaf_peer.is_some() {
-                self.send_join_ctm(now, sink);
-            } else if self.conns.with_type(ConnType::Leaf).next().is_none() {
-                self.try_bootstrap(now, sink);
-            }
-        } else if self.conns.len() == 1 && self.bootstrap.len() > 1 && now >= self.next_join_attempt
+        let routable = self.is_routable();
+        match self
+            .join
+            .housekeeping(now, routable, &self.conns, self.cfg.join_retry)
         {
-            // Marooned-pair escape. Two nodes that bootstrap through each
-            // other while both are isolated form a private 2-ring: each is
-            // "routable" (it has a structured-near link), so neither would
-            // ever dial an introducer again and the split is stable. A node
-            // whose entire neighborhood is one single peer therefore keeps
-            // probing its introducer cache on the join-retry cadence; the
-            // probe is a no-op for a genuine 2-node overlay (the cache
-            // holds only the peer) and merges the rings otherwise.
-            self.next_join_attempt = now + self.cfg.join_retry;
-            self.try_bootstrap(now, sink);
+            Some(JoinStep::Ctm(leaf)) => self.send_join_ctm(now, leaf, sink),
+            Some(JoinStep::Dial) => self.try_bootstrap(now, sink),
+            None => {}
         }
     }
 }
@@ -1494,6 +746,8 @@ mod tests {
     use super::*;
     use crate::addr::U160;
     use crate::telemetry::TelemetryCounters;
+    use crate::wire::LinkMsg;
+    use rand::Rng;
     use wow_netsim::addr::PhysIp;
 
     /// The unit-test sink: buffers frames and events, accumulates counters.
@@ -2040,6 +1294,82 @@ mod tests {
         assert_eq!(sk.counters.get(Counter::CtmShortcut), 0);
     }
 
+    /// The tokens of every CTM request among `frames`.
+    fn ctm_tokens(frames: &[(PhysAddr, Frame)]) -> Vec<u64> {
+        let token = |(_, f): &(PhysAddr, Frame)| match f {
+            Frame::Routed(Packet {
+                body: Body::CtmRequest { token, .. },
+                ..
+            }) => Some(*token),
+            _ => None,
+        };
+        frames.iter().filter_map(token).collect()
+    }
+
+    #[test]
+    fn restart_keeps_identity_and_starts_every_protocol_fresh() {
+        let introducers: Vec<_> = (1..=8).map(|i| uri(i, 4000)).collect();
+        let (mut n, mut sk) = started(a(100), introducers.clone());
+        // Build up state in every part: a near link and a leaf (the join
+        // CTM), tunnelled traffic (shortcut score), a linking attempt, and
+        // a stabilize round (a ring probe and a far request, both drawing
+        // on the node's RNG stream).
+        n.record_conn(T0, a(200), ConnType::StructuredNear, ep(20, 1), &mut sk);
+        n.record_conn(T0, a(300), ConnType::Leaf, ep(30, 1), &mut sk);
+        n.send_app(T0, a(900), 1, Bytes::from_static(b"x"), &mut sk);
+        n.connect_to(T0, a(400), ConnType::Shortcut, vec![uri(40, 1)], &mut sk);
+        n.on_tick(T0, &mut sk);
+        let issued = ctm_tokens(&sk.take_sends());
+        assert!(issued.len() >= 2 && n.ctm.has_pending(a(100)));
+        let stats = format!("{:?}", n.stats());
+        let (rng, join) = (n.rng.clone(), n.join.clone());
+        let t1 = SimTime::from_secs(100);
+        n.restart(t1, uri(2, 4000), Vec::new(), &mut sk);
+
+        // Identity survives: counters, and both RNG streams continue
+        // where they were rather than restarting from the seed.
+        assert_eq!(format!("{:?}", n.stats()), stats);
+        let next = |mut r: SmallRng| r.gen::<u64>();
+        assert_eq!(next(n.rng.clone()), next(rng));
+        assert_ne!(next(n.rng.clone()), next(SmallRng::seed_from_u64(7)));
+        let picks = |mut m: BootstrapManager| {
+            m.configure(&introducers);
+            (0..4).map(|_| m.next_candidate(t1)).collect::<Vec<_>>()
+        };
+        let mut continued = join;
+        continued.reset();
+        assert_eq!(picks(n.join.clone()), picks(continued));
+        assert_ne!(picks(n.join.clone()), picks(BootstrapManager::new(7)));
+
+        // Every protocol part starts over.
+        assert!(!n.ctm.has_pending(a(100)) && n.ctm.pending_far_count() == 0);
+        assert_eq!(
+            format!("{:?}", n.near),
+            format!("{:?}", NearOverlord::new())
+        );
+        assert_eq!(n.join.leaf, None);
+        assert!(format!("{:?}", n.join).contains("introducer: None"));
+        assert!(n.linking.is_empty() && n.pinger.is_empty() && n.conns.is_empty());
+        assert_eq!(n.shortcut.score(a(900), t1), 0.0);
+
+        // CTM tokens keep counting: a reply to a pre-restart request can
+        // never match a new one.
+        n.record_conn(t1, a(300), ConnType::Leaf, ep(30, 1), &mut sk);
+        let after = ctm_tokens(&sk.take_sends());
+        assert_eq!(after, vec![issued.iter().max().unwrap() + 1]);
+    }
+
+    #[test]
+    fn the_hop_budget_counts_forwards_and_drops() {
+        let (mut stats, mut sk) = (NodeStats::default(), TestSink::new());
+        assert!(stats.spend_hop(63, 64, &mut sk));
+        assert!(!stats.spend_hop(64, 64, &mut sk), "hops == ttl is spent");
+        assert!(!stats.spend_hop(200, 64, &mut sk));
+        assert_eq!((stats.forwarded, stats.dropped_ttl), (1, 2));
+        assert_eq!(sk.counters.get(Counter::Forwarded), 1);
+        assert_eq!(sk.counters.get(Counter::DroppedTtl), 2);
+    }
+
     #[test]
     fn restart_clears_state_but_keeps_address() {
         let (mut n, mut sk) = started(a(100), vec![uri(9, 4000)]);
@@ -2208,7 +1538,7 @@ mod tests {
 
     #[test]
     fn dead_introducer_falls_through_the_cache() {
-        // introducer_retries = 2: the funnel collapses after 5+10 = 15 s
+        // INTRODUCER_RETRIES = 2: the funnel collapses after 5+10 = 15 s
         // and the joiner moves to the other introducer immediately.
         let (mut n, mut sk) = started(a(100), vec![uri(7, 4000), uri(8, 4000)]);
         let first = sk.take_sends()[0].0;
@@ -2545,7 +1875,7 @@ mod tests {
         // An inbound joiner grabs the leaf slot while our wildcard attempt
         // is still in flight.
         n.record_conn(T0, a(50), ConnType::Leaf, ep(5, 1), &mut sk);
-        assert_eq!(n.leaf_peer, Some(a(50)));
+        assert_eq!(n.join.leaf, Some(a(50)));
         sk.clear();
         n.on_datagram(
             T0 + SimDuration::from_millis(50),
@@ -2566,7 +1896,7 @@ mod tests {
                     if matches!(&p.body, Body::CtmRequest { reply_relay: Some(r), .. } if *r == a(60)))),
             "join CTM must be relayed via the new wildcard leaf"
         );
-        assert_eq!(n.leaf_peer, Some(a(50)), "the original leaf slot is kept");
+        assert_eq!(n.join.leaf, Some(a(50)), "the original leaf slot is kept");
     }
 
     #[test]

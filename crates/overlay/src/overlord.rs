@@ -16,7 +16,9 @@
 //!   the score crosses a threshold; releases shortcuts that go idle.
 //!
 //! Overlords are pure deciders: they read the connection table and emit
-//! [`OverlordCmd`]s; the node executes them.
+//! [`OverlordCmd`]s, which the node executes once the whole round is
+//! decided. That order is part of the behaviour: the far census reads the
+//! table before the near overlord's trims run.
 
 use std::collections::HashMap;
 
@@ -119,12 +121,11 @@ impl NearOverlord {
             out.push(OverlordCmd::Rebootstrap);
             return;
         }
-        let cw = conns.nearest_cw(me, cfg.near_per_side);
-        let ccw = conns.nearest_ccw(me, cfg.near_per_side);
+        let k = cfg.near_per_side;
         // Ask current ring neighbours who *they* see; their answers surface
         // nodes between us that we should link to.
-        for &p in cw.iter().chain(ccw.iter()) {
-            out.push(OverlordCmd::SendNeighborQuery { peer: p });
+        for peer in conns.nearest_cw(me, k).chain(conns.nearest_ccw(me, k)) {
+            out.push(OverlordCmd::SendNeighborQuery { peer });
         }
         // And verify the position globally: neighbour gossip alone can get
         // stuck in a local optimum after a mass join (a node whose "near"
@@ -148,11 +149,13 @@ impl NearOverlord {
             };
             out.push(OverlordCmd::RingProbe);
         }
-        // Trim near roles outside the horizon — but only on sides that are
-        // fully populated, so thin rings keep their links.
-        let full = cw.len() >= cfg.near_per_side && ccw.len() >= cfg.near_per_side;
+        // Trim near roles outside the horizon — but only once both sides
+        // are fully populated, so thin rings keep their links.
+        let [Some(cw), Some(ccw)] = horizon(me, conns, k) else {
+            return;
+        };
         for c in conns.with_type(ConnType::StructuredNear) {
-            if full && !cw.contains(&c.peer) && !ccw.contains(&c.peer) {
+            if me.dist_cw(c.peer) > me.dist_cw(cw) && c.peer.dist_cw(me) > ccw.dist_cw(me) {
                 out.push(OverlordCmd::DropRole {
                     peer: c.peer,
                     ctype: ConnType::StructuredNear,
@@ -171,8 +174,7 @@ impl NearOverlord {
         cfg: &OverlayConfig,
         out: &mut Vec<OverlordCmd>,
     ) {
-        let cw = conns.nearest_cw(me, cfg.near_per_side);
-        let ccw = conns.nearest_ccw(me, cfg.near_per_side);
+        let [cw_edge, ccw_edge] = horizon(me, conns, cfg.near_per_side);
         for &n in neighbors {
             // A peer we hold for another role only (typically a joiner's
             // leaf to its introducer) is still a candidate: skipping it
@@ -185,10 +187,8 @@ impl NearOverlord {
             {
                 continue;
             }
-            let improves_cw = cw.len() < cfg.near_per_side
-                || me.dist_cw(n) < me.dist_cw(*cw.last().expect("len checked"));
-            let improves_ccw = ccw.len() < cfg.near_per_side
-                || n.dist_cw(me) < ccw.last().expect("len checked").dist_cw(me);
+            let improves_cw = cw_edge.is_none_or(|e| me.dist_cw(n) < me.dist_cw(e));
+            let improves_ccw = ccw_edge.is_none_or(|e| n.dist_cw(me) < e.dist_cw(me));
             if improves_cw || improves_ccw {
                 out.push(OverlordCmd::RequestCtm {
                     target: n,
@@ -197,6 +197,15 @@ impl NearOverlord {
             }
         }
     }
+}
+
+/// Our ring horizon's edges: the `k`-th nearest structured peer clockwise
+/// and counter-clockwise, `None` while that side is short.
+fn horizon(me: Address, conns: &ConnTable, k: usize) -> [Option<Address>; 2] {
+    [
+        conns.nearest_cw(me, k).nth(k - 1),
+        conns.nearest_ccw(me, k).nth(k - 1),
+    ]
 }
 
 // ----------------------------------------------------------------- far ----

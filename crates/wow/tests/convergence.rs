@@ -76,10 +76,10 @@ fn assert_ring_consistent(net: &mut Net) {
         let nearest = net
             .sim
             .with_actor::<OverlayHost<NoApp>, _>(actor, |host, _| {
-                host.node().conns().nearest_cw(addr, 1)
+                host.node().conns().nearest_cw(addr, 1).next()
             });
         assert_eq!(
-            nearest.first().copied(),
+            nearest,
             Some(succ_addr),
             "node {i} ({addr:?}) should see {succ_addr:?} as its clockwise successor"
         );

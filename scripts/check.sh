@@ -22,6 +22,17 @@ if [ "$sites" -gt 4 ]; then
     exit 1
 fi
 
+# One home per protocol decision: node.rs is dispatch glue over the
+# protocol parts (DESIGN.md "Crate inventory"), capped at the non-test
+# lines it had when the CTM, link and join parts moved out. Regrowing the
+# glue is a design change, not a drive-by.
+echo "==> at most 743 non-test lines in crates/overlay/src/node.rs"
+glue=$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' crates/overlay/src/node.rs)
+if [ "$glue" -gt 743 ]; then
+    echo "crates/overlay/src/node.rs has $glue non-test lines (max 743)"
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --release --workspace --all-targets
 
