@@ -61,6 +61,28 @@ fn kill_k_nodes_ring_self_heals_within_bound() {
     assert!(out.counters.get(Counter::NearLinked) > 0);
 }
 
+/// FNV-1a over a [`wow::churn::ChurnOutcome`]'s whole `Debug` rendering:
+/// transcript, every batch's audit verdicts and polls, merged counters.
+fn outcome_digest(out: &wow::churn::ChurnOutcome) -> u64 {
+    format!("{out:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// The default-config churn outcome, pinned: a change to the overlay
+/// world builder, the live-snapshot collector or the repair-wait loop
+/// must not move a single audit, poll or counter. A change that means to
+/// move protocol behaviour re-pins it and says why.
+const DEFAULT_OUTCOME_DIGEST: u64 = 15_414_169_119_363_023_025;
+
+#[test]
+fn default_churn_outcome_is_pinned() {
+    let out = run(&ChurnConfig::default());
+    assert_eq!(outcome_digest(&out), DEFAULT_OUTCOME_DIGEST, "{out:?}");
+}
+
 #[test]
 fn churn_run_is_deterministic_record_replay() {
     let cfg = ChurnConfig {
