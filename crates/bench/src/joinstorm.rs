@@ -19,12 +19,12 @@
 
 use rand::Rng;
 
-use wow::audit::audit_ring;
-use wow::simrt::{ForwardingCost, NodeHandle, OverlayApp, OverlayHost};
+use wow::harness::{log_audit_failure, settle, Overlay, Schedule, Settled};
+use wow::simrt::{NodeHandle, OverlayApp};
 use wow_netsim::prelude::*;
 use wow_overlay::addr::Address;
 use wow_overlay::config::OverlayConfig;
-use wow_overlay::conn::{ConnSnapshot, ConnType};
+use wow_overlay::conn::ConnType;
 use wow_overlay::node::BrunetNode;
 use wow_overlay::telemetry::Counter;
 
@@ -118,6 +118,7 @@ impl JoinStormResult {
 }
 
 /// Records the moment this node first became routable.
+#[derive(Default)]
 struct JoinClock {
     joined: Option<SimTime>,
 }
@@ -129,8 +130,6 @@ impl OverlayApp for JoinClock {
         }
     }
 }
-
-const PORT: u16 = 4000;
 
 /// Run the storm.
 pub fn run(cfg: &JoinStormConfig) -> JoinStormResult {
@@ -151,88 +150,49 @@ pub fn run(cfg: &JoinStormConfig) -> JoinStormResult {
     // "The simulator picks its own worker count").
     sim.set_workers(1);
     let wan = sim.add_domain(DomainSpec::public("wan"));
+    let mut net = Overlay::new(sim);
 
-    // --- core: seeded ring, exactly the scale-harness idiom ---
+    // --- core: a pre-wired ring, as in the scale harness ---
     let overlay = OverlayConfig::default();
-    let mut core_actors = Vec::with_capacity(cfg.core);
-    let mut core_eps = Vec::with_capacity(cfg.core);
     for (i, &addr) in ring.iter().enumerate() {
-        let host = sim.add_host(wan, HostSpec::new(format!("c{i}")));
+        let host = net.sim.add_host(wan, HostSpec::new(format!("c{i}")));
         let node = BrunetNode::new(
             addr,
             overlay.clone(),
             seeds.seed_for_indexed("core-node", i as u64),
         );
-        let actor = sim.add_actor(
-            host,
-            OverlayHost::new(
-                node,
-                PORT,
-                Vec::new(),
-                ForwardingCost::end_node(),
-                JoinClock { joined: None },
-            ),
-        );
-        core_eps.push(PhysAddr::new(sim.world().host_ip(host), PORT));
-        core_actors.push(actor);
+        net.add_node(host, SimTime::ZERO, node, Vec::new(), JoinClock::default());
     }
-    sim.run_until(SimTime::ZERO);
+    // One symmetric far chord per node so early greedy routing across the
+    // core is not O(n).
     let n = ring.len();
-    for i in 0..n {
-        let mut conns: Vec<(Address, ConnType, PhysAddr)> = Vec::new();
-        for d in 1..=overlay.near_per_side {
-            let cw = (i + d) % n;
-            let ccw = (i + n - d) % n;
-            conns.push((ring[cw], ConnType::StructuredNear, core_eps[cw]));
-            if ccw != cw {
-                conns.push((ring[ccw], ConnType::StructuredNear, core_eps[ccw]));
+    let far: Vec<Vec<usize>> = (0..n)
+        .map(|i| {
+            let far = (i + n / 4).max(i + 2) % n;
+            if far != i {
+                vec![far]
+            } else {
+                Vec::new()
             }
-        }
-        // A couple of symmetric far chords so early greedy routing across
-        // the core is not O(n).
-        let far = (i + n / 4).max(i + 2) % n;
-        if far != i {
-            conns.push((ring[far], ConnType::StructuredFar, core_eps[far]));
-        }
-        sim.with_actor::<OverlayHost<JoinClock>, _>(core_actors[i], move |h, ctx| {
-            let now = ctx.now;
-            for &(peer, t, ep) in &conns {
-                h.node_mut().seed_connection(now, peer, t, ep);
-            }
-        });
-        if far != i {
-            let (me, ep) = (ring[i], core_eps[i]);
-            sim.with_actor::<OverlayHost<JoinClock>, _>(core_actors[far], move |h, ctx| {
-                h.node_mut()
-                    .seed_connection(ctx.now, me, ConnType::StructuredFar, ep);
-            });
-        }
-    }
+        })
+        .collect();
+    net.seed_ring(overlay.near_per_side, &far);
 
     // Warm the core on the real protocol, then audit it.
-    sim.run_until(SimTime::ZERO + cfg.warm);
+    net.sim.run_until(SimTime::ZERO + cfg.warm);
     let mut audit_rng = seeds.rng("storm-audit");
-    let core_snaps: Vec<ConnSnapshot> = core_actors
-        .iter()
-        .map(|&a| sim.with_actor::<OverlayHost<JoinClock>, _>(a, |h, _| h.node().conn_snapshot()))
-        .collect();
-    let core_report = audit_ring(sim.now(), &core_snaps, cfg.route_samples, &mut audit_rng);
-    let core_audit_ok = core_report.passed();
-    drop(core_snaps);
+    let core_audit_ok = net.audit(cfg.route_samples, &mut audit_rng).passed();
 
     // --- the storm ---
-    let intro_eps: Vec<PhysAddr> = core_eps
-        .iter()
-        .take(cfg.introducers.max(1))
-        .copied()
+    let intro_eps: Vec<PhysAddr> = (0..n.min(cfg.introducers.max(1)))
+        .map(|i| net.endpoint(i))
         .collect();
-    let storm_start = sim.now();
+    let storm_start = net.sim.now();
     let stagger_us = (cfg.window.as_micros() as f64 * cfg.stagger_frac.clamp(0.0, 1.0)) as u64;
     let mut storm_rng = seeds.rng("storm-joiners");
-    let mut joiner_actors = Vec::with_capacity(cfg.joiners);
     let mut joiner_starts = Vec::with_capacity(cfg.joiners);
     for (j, &addr) in join_addrs.iter().enumerate() {
-        let host = sim.add_host(wan, HostSpec::new(format!("j{j}")));
+        let host = net.sim.add_host(wan, HostSpec::new(format!("j{j}")));
         // Partial Fisher–Yates: the first `per_joiner` slots end up holding
         // a uniform random subset, in random order.
         let mut my_intros = intro_eps.clone();
@@ -252,106 +212,68 @@ pub fn run(cfg: &JoinStormConfig) -> JoinStormResult {
             seeds.seed_for_indexed("join-node", j as u64),
         );
         let start_at = storm_start + SimDuration::from_micros(storm_rng.gen_range(0..=stagger_us));
-        let actor = sim.add_actor_at(
-            host,
-            start_at,
-            OverlayHost::new(
-                node,
-                PORT,
-                bootstrap,
-                ForwardingCost::end_node(),
-                JoinClock { joined: None },
-            ),
-        );
-        joiner_actors.push(actor);
+        net.add_node(host, start_at, node, bootstrap, JoinClock::default());
         joiner_starts.push(start_at);
     }
+    let joiners = n..net.actors().len();
 
     let window_end = storm_start + cfg.window;
-    let ev0 = sim.events_processed();
+    let ev0 = net.sim.events_processed();
     let wall = std::time::Instant::now();
-    sim.run_until(window_end);
+    net.sim.run_until(window_end);
 
     // How many made it inside the window (sampled before settle runs on).
-    let joined_at = |sim: &mut Sim, actor| {
-        sim.with_actor::<OverlayHost<JoinClock>, _>(actor, |h, _| h.app().joined)
-    };
-    let mut in_window = 0usize;
-    for &actor in &joiner_actors {
-        if joined_at(&mut sim, actor).is_some_and(|t| t <= window_end) {
-            in_window += 1;
-        }
-    }
+    let joined_at = |net: &mut Overlay<JoinClock>, i| net.with(i, |h, _| h.app().joined);
+    let in_window = joiners
+        .clone()
+        .filter(|&i| joined_at(&mut net, i).is_some_and(|t| t <= window_end))
+        .count();
 
-    // --- settle: poll the merged ring on a doubling backoff ---
+    // --- settle: audit the merged ring at window end, then on the backoff ---
     let deadline = window_end + cfg.settle;
-    let mut audit_polls = 0u32;
-    let mut repaired_at = None;
-    let mut interval = cfg.poll;
-    let max_interval = SimDuration::from_micros(cfg.poll.as_micros().saturating_mul(8));
-    loop {
-        let mut snaps: Vec<ConnSnapshot> = Vec::with_capacity(cfg.core + cfg.joiners);
-        for &a in core_actors.iter().chain(joiner_actors.iter()) {
-            snaps.push(
-                sim.with_actor::<OverlayHost<JoinClock>, _>(a, |h, _| h.node().conn_snapshot()),
-            );
+    let first = net.audit(cfg.route_samples, &mut audit_rng);
+    let settled = if first.passed() || window_end >= deadline {
+        Settled {
+            repaired_at: first.passed().then_some(window_end),
+            polls: 0,
+            last: first,
         }
-        audit_polls += 1;
-        let report = audit_ring(sim.now(), &snaps, cfg.route_samples, &mut audit_rng);
-        if report.passed() {
-            repaired_at = Some(sim.now());
-            break;
-        }
-        if sim.now() >= deadline {
-            eprintln!(
-                "[joinstorm] final audit FAILED over {} live nodes ({}/{} pairs routable):",
-                report.live, report.pairs_routable, report.pairs_checked
-            );
-            for v in report.violations.iter().take(5) {
-                eprintln!("[joinstorm]   {v}");
-            }
-            break;
-        }
-        let next = (sim.now() + interval).min(deadline);
-        interval = SimDuration::from_micros(
-            interval
-                .as_micros()
-                .saturating_mul(2)
-                .min(max_interval.as_micros()),
-        );
-        sim.run_until(next);
-    }
+    } else {
+        settle(window_end, deadline, Schedule::backoff(cfg.poll), |t| {
+            net.sim.run_until(t);
+            net.audit(cfg.route_samples, &mut audit_rng)
+        })
+    };
+    log_audit_failure("joinstorm final", &settled.last);
     let storm = PhaseMetrics {
-        sim_s: sim.now().saturating_since(storm_start).as_secs_f64(),
-        events: sim.events_processed() - ev0,
+        sim_s: net.sim.now().saturating_since(storm_start).as_secs_f64(),
+        events: net.sim.events_processed() - ev0,
         wall_s: wall.elapsed().as_secs_f64(),
     };
 
     // --- collect latencies ---
     let mut latencies = Vec::with_capacity(cfg.joiners);
-    let mut joined = 0usize;
     let mut fallbacks = 0u64;
-    for (j, &actor) in joiner_actors.iter().enumerate() {
-        if let Some(t) = joined_at(&mut sim, actor) {
-            joined += 1;
-            latencies.push(t.saturating_since(joiner_starts[j]).as_secs_f64());
+    for (i, start) in joiners.zip(joiner_starts) {
+        if let Some(t) = joined_at(&mut net, i) {
+            latencies.push(t.saturating_since(start).as_secs_f64());
         }
-        fallbacks += sim.with_actor::<OverlayHost<JoinClock>, _>(actor, |h, _| {
-            h.counters().get(Counter::IntroducerFallback)
-        });
+        fallbacks += net.with(i, |h, _| h.counters().get(Counter::IntroducerFallback));
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("join latencies are finite"));
 
     JoinStormResult {
         core: cfg.core,
         joiners: cfg.joiners,
-        joined,
+        joined: latencies.len(),
         in_window,
         latencies,
         core_audit_ok,
-        audit_ok: repaired_at.is_some(),
-        repair_s: repaired_at.map(|t| t.saturating_since(window_end).as_secs_f64().max(0.0)),
-        audit_polls,
+        audit_ok: settled.repaired_at.is_some(),
+        repair_s: settled
+            .repaired_at
+            .map(|t| t.saturating_since(window_end).as_secs_f64().max(0.0)),
+        audit_polls: 1 + settled.polls as u32,
         storm,
         introducer_fallbacks: fallbacks,
         peak_rss_mib: peak_rss_mib(),

@@ -7,10 +7,10 @@
 //! steady state, so the overlay is booted pre-wired: node addresses are
 //! sorted into the ring, every node is seeded with its `near_per_side`
 //! ring neighbours on each side plus `far_count / 2` outgoing Kleinberg
-//! far links (in-degree supplies the other half in expectation) via
-//! [`BrunetNode::seed_connection`]. From the first tick onward everything
-//! is the real protocol: pings, stabilization, far-link census, shortcut
-//! scoring, failure detection.
+//! far links (in-degree supplies the other half in expectation) by
+//! [`Overlay::seed_ring`]. From the first tick onward everything is the
+//! real protocol: pings, stabilization, far-link census, shortcut scoring,
+//! failure detection.
 //!
 //! Two experiments run on that substrate:
 //!
@@ -19,7 +19,8 @@
 //!   collapses toward 1 and transit forwarding load drains off the ring,
 //!   exactly the mechanism behind the paper's Fig. 8 throughput gap.
 //! * **kill-k churn** — a batch of simultaneous host crashes, then the
-//!   ring auditor polls until every structural invariant holds over the
+//!   ring auditor polls on a fixed grid ([`settle`] with
+//!   [`Schedule::fixed`]) until every structural invariant holds over the
 //!   survivors (the paper's self-healing claim, at 1000× the ring size).
 //!
 //! Each phase records simulator events processed, wall-clock time and
@@ -28,8 +29,8 @@
 use bytes::Bytes;
 use rand::Rng;
 
-use wow::audit::audit_ring;
-use wow::simrt::{ForwardingCost, NoApp, OverlayHost};
+use wow::harness::{log_audit_failure, settle, Overlay, Schedule};
+use wow::simrt::{NoApp, OverlayHost};
 use wow_netsim::prelude::*;
 use wow_overlay::addr::Address;
 use wow_overlay::config::OverlayConfig;
@@ -191,48 +192,20 @@ pub struct ScaleChurnResult {
     pub peak_rss_mib: f64,
 }
 
-const PORT: u16 = 4000;
-
-struct ScaleNet {
-    sim: Sim,
-    hosts: Vec<HostId>,
-    actors: Vec<ActorId>,
-    addrs: Vec<Address>,
-    down: Vec<bool>,
-}
-
-impl ScaleNet {
-    fn snapshots(&mut self) -> Vec<wow_overlay::conn::ConnSnapshot> {
-        let mut out = Vec::with_capacity(self.actors.len());
-        for (i, &actor) in self.actors.iter().enumerate() {
-            if self.down[i] {
-                continue;
-            }
-            out.push(
-                self.sim
-                    .with_actor::<OverlayHost<NoApp>, _>(actor, |h, _| h.node().conn_snapshot()),
-            );
-        }
-        out
+/// `(hops_sum, delivered)` totals over a set of nodes.
+fn delivery_stats(net: &mut Overlay<NoApp>, idx: &[usize]) -> (u64, u64) {
+    let mut hops = 0u64;
+    let mut delivered = 0u64;
+    for &i in idx {
+        let s = net.with(i, |h, _| h.node().stats());
+        hops += s.hops_sum;
+        delivered += s.delivered;
     }
-
-    /// `(hops_sum, delivered)` totals over a set of nodes.
-    fn delivery_stats(&mut self, idx: &[usize]) -> (u64, u64) {
-        let mut hops = 0u64;
-        let mut delivered = 0u64;
-        for &i in idx {
-            let s = self
-                .sim
-                .with_actor::<OverlayHost<NoApp>, _>(self.actors[i], |h, _| h.node().stats());
-            hops += s.hops_sum;
-            delivered += s.delivered;
-        }
-        (hops, delivered)
-    }
+    (hops, delivered)
 }
 
 /// Build an n-node pre-wired overlay: sorted ring, seeded near + far links.
-fn build(cfg: &ScaleConfig, overlay: OverlayConfig) -> ScaleNet {
+fn build(cfg: &ScaleConfig, overlay: OverlayConfig) -> Overlay<NoApp> {
     let seeds = SeedSplitter::new(cfg.seed);
     let mut addr_rng = seeds.rng("scale-addresses");
     let mut addrs: Vec<Address> = (0..cfg.nodes)
@@ -245,87 +218,43 @@ fn build(cfg: &ScaleConfig, overlay: OverlayConfig) -> ScaleNet {
     let mut sim = Sim::new(cfg.seed);
     sim.set_workers(cfg.workers);
     let wan = sim.add_domain(DomainSpec::public("wan"));
-    let mut hosts = Vec::with_capacity(n);
-    let mut actors = Vec::with_capacity(n);
-    let mut eps = Vec::with_capacity(n);
+    let mut net = Overlay::new(sim);
     for (i, &addr) in addrs.iter().enumerate() {
-        let host = sim.add_host(wan, HostSpec::new(format!("s{i}")));
+        let host = net.sim.add_host(wan, HostSpec::new(format!("s{i}")));
         let node = BrunetNode::new(
             addr,
             overlay.clone(),
             seeds.seed_for_indexed("node", i as u64),
         );
-        let actor = sim.add_actor(
-            host,
-            OverlayHost::new(node, PORT, Vec::new(), ForwardingCost::end_node(), NoApp),
-        );
-        eps.push(PhysAddr::new(sim.world().host_ip(host), PORT));
-        hosts.push(host);
-        actors.push(actor);
+        net.add_node(host, SimTime::ZERO, node, Vec::new(), NoApp);
     }
-    // Process the start events so every node is running and bound.
-    sim.run_until(SimTime::ZERO);
 
-    let near_per_side = overlay.near_per_side;
+    // Outgoing far links, log-uniform beyond the local arc (the same
+    // Symphony-style distribution the far overlord samples from); the ring
+    // seeder mirrors each on its target.
     let far_out = (overlay.far_count / 2).max(1);
     let mut far_rng = seeds.rng("scale-far");
-    for i in 0..n {
-        // Ring neighbours, `near_per_side` on each side. Seeding is
-        // symmetric by construction: node i+1's first ccw neighbour is i.
-        let mut conns: Vec<(Address, ConnType, PhysAddr)> = Vec::new();
-        for d in 1..=near_per_side {
-            let cw = (i + d) % n;
-            let ccw = (i + n - d) % n;
-            conns.push((addrs[cw], ConnType::StructuredNear, eps[cw]));
-            if ccw != cw {
-                conns.push((addrs[ccw], ConnType::StructuredNear, eps[ccw]));
+    let far: Vec<Vec<usize>> = (0..n)
+        .map(|i| {
+            let succ_dist = addrs[i].dist_cw(addrs[(i + 1) % n]);
+            let min_exp = succ_dist
+                .highest_bit()
+                .map(|b| (b + 1).min(157))
+                .unwrap_or(32);
+            let mut fars: Vec<usize> = Vec::with_capacity(far_out);
+            for _ in 0..far_out {
+                let target = wow_overlay::addr::sample_far_target(&mut far_rng, addrs[i], min_exp);
+                // Owner: the ring successor of the target address.
+                let j = addrs.partition_point(|&a| a < target) % n;
+                if j != i && !fars.contains(&j) {
+                    fars.push(j);
+                }
             }
-        }
-        // Outgoing far links, log-uniform beyond the local arc (the same
-        // Symphony-style distribution the far overlord samples from). The
-        // mirror side is seeded on the target so the link is symmetric.
-        let succ_dist = addrs[i].dist_cw(addrs[(i + 1) % n]);
-        let min_exp = succ_dist
-            .highest_bit()
-            .map(|b| (b + 1).min(157))
-            .unwrap_or(32);
-        let mut fars: Vec<usize> = Vec::with_capacity(far_out);
-        for _ in 0..far_out {
-            let target = wow_overlay::addr::sample_far_target(&mut far_rng, addrs[i], min_exp);
-            // Owner: the ring successor of the target address.
-            let j = addrs.partition_point(|&a| a < target) % n;
-            if j != i && !fars.contains(&j) {
-                fars.push(j);
-            }
-        }
-        for &j in &fars {
-            conns.push((addrs[j], ConnType::StructuredFar, eps[j]));
-        }
-        let my_addr = addrs[i];
-        let my_ep = eps[i];
-        sim.with_actor::<OverlayHost<NoApp>, _>(actors[i], move |h, ctx| {
-            let now = ctx.now;
-            for &(peer, t, ep) in &conns {
-                h.node_mut().seed_connection(now, peer, t, ep);
-            }
-            now
-        });
-        // Mirror the far links on the targets.
-        for &j in &fars {
-            sim.with_actor::<OverlayHost<NoApp>, _>(actors[j], move |h, ctx| {
-                h.node_mut()
-                    .seed_connection(ctx.now, my_addr, ConnType::StructuredFar, my_ep);
-            });
-        }
-    }
-
-    ScaleNet {
-        sim,
-        hosts,
-        actors,
-        addrs,
-        down: vec![false; n],
-    }
+            fars
+        })
+        .collect();
+    net.seed_ring(overlay.near_per_side, &far);
+    net
 }
 
 fn phase(sim: &mut Sim, until: SimTime) -> PhaseMetrics {
@@ -369,16 +298,14 @@ pub fn run_traffic(cfg: &ScaleConfig, shortcuts: bool) -> ScaleTrafficResult {
     };
     let seeds = SeedSplitter::new(cfg.seed);
     let mut net = build(cfg, overlay);
-    let n = net.actors.len();
+    let n = net.actors().len();
 
     let warm = phase(&mut net.sim, SimTime::ZERO + cfg.warm);
 
     let mut audit_rng = seeds.rng("scale-audit");
-    let snaps = net.snapshots();
-    let report = audit_ring(net.sim.now(), &snaps, cfg.route_samples, &mut audit_rng);
+    let report = net.audit(cfg.route_samples, &mut audit_rng);
     let audit_ok = report.passed();
-    log_audit_failure("post-warm", &report);
-    drop(snaps);
+    log_audit_failure("scale post-warm", &report);
 
     // Hotspot pairs: distinct sources and sinks.
     let mut pair_rng = seeds.rng("scale-pairs");
@@ -402,8 +329,8 @@ pub fn run_traffic(cfg: &ScaleConfig, shortcuts: bool) -> ScaleTrafficResult {
     let shots = cfg.traffic.as_micros() / period.as_micros();
     let payload = Bytes::from(vec![0x5Au8; 512]);
     for &(src, dst) in &pairs {
-        let actor = net.actors[src];
-        let dst_addr = net.addrs[dst];
+        let actor = net.actors()[src];
+        let dst_addr = net.addrs()[dst];
         for k in 0..shots {
             let data = payload.clone();
             let at = start + SimDuration::from_micros(period.as_micros() * k);
@@ -415,23 +342,24 @@ pub fn run_traffic(cfg: &ScaleConfig, shortcuts: bool) -> ScaleTrafficResult {
         }
     }
 
-    let forwarded0 = total_counter(&mut net, Counter::Forwarded);
-    let (h0, d0) = net.delivery_stats(&sinks);
+    let forwarded0 = net.live_counters().get(Counter::Forwarded);
+    let (h0, d0) = delivery_stats(&mut net, &sinks);
     let mid = start + SimDuration::from_micros(cfg.traffic.as_micros() / 2);
     let t1 = phase(&mut net.sim, mid);
-    let (h1, d1) = net.delivery_stats(&sinks);
+    let (h1, d1) = delivery_stats(&mut net, &sinks);
     let t2 = phase(&mut net.sim, start + cfg.traffic);
-    let (h2, d2) = net.delivery_stats(&sinks);
+    let (h2, d2) = delivery_stats(&mut net, &sinks);
     let traffic = PhaseMetrics {
         sim_s: t1.sim_s + t2.sim_s,
         events: t1.events + t2.events,
         wall_s: t1.wall_s + t2.wall_s,
     };
-    let forwarded = total_counter(&mut net, Counter::Forwarded) - forwarded0;
-    let shortcut_crossings = total_counter(&mut net, Counter::ShortcutCross);
+    let counters = net.live_counters();
+    let forwarded = counters.get(Counter::Forwarded) - forwarded0;
+    let shortcut_crossings = counters.get(Counter::ShortcutCross);
     let mut shortcut_conns = 0usize;
-    for &actor in &net.actors {
-        shortcut_conns += net.sim.with_actor::<OverlayHost<NoApp>, _>(actor, |h, _| {
+    for i in 0..n {
+        shortcut_conns += net.with(i, |h, _| {
             h.node().conns().with_type(ConnType::Shortcut).count()
         });
     }
@@ -464,47 +392,17 @@ fn mean_hops(h0: u64, d0: u64, h1: u64, d1: u64) -> f64 {
     }
 }
 
-/// Print a failed audit's first violations to stderr — an `audit=false`
-/// cell in the CSV is useless without the *why*.
-fn log_audit_failure(stage: &str, report: &wow::audit::AuditReport) {
-    if report.passed() {
-        return;
-    }
-    eprintln!(
-        "[scale] {stage} audit FAILED over {} live nodes ({}/{} pairs routable):",
-        report.live, report.pairs_routable, report.pairs_checked
-    );
-    for v in report.violations.iter().take(5) {
-        eprintln!("[scale]   {v}");
-    }
-}
-
-fn total_counter(net: &mut ScaleNet, c: Counter) -> u64 {
-    let mut total = 0u64;
-    for (i, &actor) in net.actors.iter().enumerate() {
-        if net.down[i] {
-            continue;
-        }
-        total += net
-            .sim
-            .with_actor::<OverlayHost<NoApp>, _>(actor, |h, _| h.counters().get(c));
-    }
-    total
-}
-
 /// Run the kill-k churn experiment.
 pub fn run_churn(cfg: &ScaleConfig) -> ScaleChurnResult {
     let seeds = SeedSplitter::new(cfg.seed);
     let mut net = build(cfg, OverlayConfig::default());
-    let n = net.actors.len();
+    let n = net.actors().len();
 
     let warm = phase(&mut net.sim, SimTime::ZERO + cfg.warm);
     let mut audit_rng = seeds.rng("scale-churn-audit");
-    let snaps = net.snapshots();
-    let report = audit_ring(net.sim.now(), &snaps, cfg.route_samples, &mut audit_rng);
+    let report = net.audit(cfg.route_samples, &mut audit_rng);
     let initial_audit_ok = report.passed();
-    log_audit_failure("pre-crash", &report);
-    drop(snaps);
+    log_audit_failure("scale pre-crash", &report);
 
     // Crash k distinct victims simultaneously.
     let mut victim_rng = seeds.rng("scale-victims");
@@ -517,28 +415,18 @@ pub fn run_churn(cfg: &ScaleConfig) -> ScaleChurnResult {
     }
     let at = net.sim.now();
     for &i in &killed {
-        net.down[i] = true;
-        net.sim.world().crash_host(net.hosts[i]);
+        net.crash(i);
     }
 
-    // Poll the auditor until the ring is whole over the survivors.
-    let deadline = at + cfg.settle;
+    // Audit on a fixed `poll` grid until the ring is whole over the
+    // survivors.
     let ev0 = net.sim.events_processed();
     let wall = std::time::Instant::now();
-    let mut repaired_at = None;
-    loop {
-        let next = (net.sim.now() + cfg.poll).min(deadline);
-        net.sim.run_until(next);
-        let snaps = net.snapshots();
-        let report = audit_ring(net.sim.now(), &snaps, cfg.route_samples, &mut audit_rng);
-        if report.passed() {
-            repaired_at = Some(net.sim.now());
-            break;
-        }
-        if net.sim.now() >= deadline {
-            break;
-        }
-    }
+    let settled = settle(at, at + cfg.settle, Schedule::fixed(cfg.poll), |t| {
+        net.sim.run_until(t);
+        net.audit(cfg.route_samples, &mut audit_rng)
+    });
+    log_audit_failure("scale repair", &settled.last);
     let repair = PhaseMetrics {
         sim_s: net.sim.now().saturating_since(at).as_secs_f64(),
         events: net.sim.events_processed() - ev0,
@@ -550,7 +438,9 @@ pub fn run_churn(cfg: &ScaleConfig) -> ScaleChurnResult {
         kill: killed.len(),
         warm,
         repair,
-        repair_s: repaired_at.map(|t| t.saturating_since(at).as_secs_f64()),
+        repair_s: settled
+            .repaired_at
+            .map(|t| t.saturating_since(at).as_secs_f64()),
         initial_audit_ok,
         peak_rss_mib: peak_rss_mib(),
     }
@@ -572,16 +462,14 @@ mod tests {
         let mut net = build(&cfg, OverlayConfig::default());
         let seeds = SeedSplitter::new(cfg.seed);
         let mut rng = seeds.rng("test-audit");
-        let snaps = net.snapshots();
-        let report = audit_ring(net.sim.now(), &snaps, 16, &mut rng);
+        let report = net.audit(16, &mut rng);
         assert!(
             report.passed(),
             "seeded ring must audit clean: {:?}",
             report.violations
         );
         net.sim.run_until(SimTime::from_secs(30));
-        let snaps = net.snapshots();
-        let report = audit_ring(net.sim.now(), &snaps, 16, &mut rng);
+        let report = net.audit(16, &mut rng);
         assert!(
             report.passed(),
             "ring must survive 30 s of protocol: {:?}",

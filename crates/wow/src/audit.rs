@@ -18,9 +18,9 @@
 //!    greedy walk over the snapshots reaches the exact destination without
 //!    exceeding a hop budget or stepping into a dead node.
 //!
-//! A passing [`AuditReport`] is the settle criterion for the churn runner
-//! in [`crate::churn`]: time-to-repair is the first audit after a fault
-//! batch with no violations.
+//! A passing [`AuditReport`] is the settle criterion of
+//! [`crate::harness::settle`]: time-to-repair is the first audit after a
+//! fault batch with no violations.
 
 use std::collections::BTreeMap;
 
@@ -85,36 +85,38 @@ pub fn audit_ring(
         pairs_checked: 0,
         pairs_routable: 0,
     };
-    if snapshots.len() < 2 {
-        return report;
-    }
     let by_addr: BTreeMap<Address, &ConnSnapshot> = snapshots.iter().map(|s| (s.addr, s)).collect();
     let order: Vec<Address> = by_addr.keys().copied().collect();
     let n = order.len();
+    // A lone survivor has no ring to form or route over, but it can still
+    // hold links to the dead: invariant 3 applies to any non-empty set.
+    let ring = n >= 2;
 
     for (i, &addr) in order.iter().enumerate() {
         let snap = by_addr[&addr];
-        let want_succ = order[(i + 1) % n];
+        if ring {
+            let want_succ = order[(i + 1) % n];
 
-        // Invariant 1: ring connectivity (single cycle over live nodes).
-        match snap.successor() {
-            Some(s) if s == want_succ => {}
-            got => report.violations.push(format!(
-                "ring: node {addr:?} sees successor {got:?}, expected {want_succ:?}"
-            )),
-        }
+            // Invariant 1: ring connectivity (single cycle over live nodes).
+            match snap.successor() {
+                Some(s) if s == want_succ => {}
+                got => report.violations.push(format!(
+                    "ring: node {addr:?} sees successor {got:?}, expected {want_succ:?}"
+                )),
+            }
 
-        // Invariant 2: the successor link is a mutual StructuredNear pair.
-        if snap.has_near(want_succ) {
-            if !by_addr[&want_succ].has_near(addr) {
+            // Invariant 2: the successor link is a mutual StructuredNear pair.
+            if snap.has_near(want_succ) {
+                if !by_addr[&want_succ].has_near(addr) {
+                    report.violations.push(format!(
+                        "mutual: {want_succ:?} lacks a near link back to {addr:?}"
+                    ));
+                }
+            } else {
                 report.violations.push(format!(
-                    "mutual: {want_succ:?} lacks a near link back to {addr:?}"
+                    "mutual: node {addr:?} lacks a near link to successor {want_succ:?}"
                 ));
             }
-        } else {
-            report.violations.push(format!(
-                "mutual: node {addr:?} lacks a near link to successor {want_succ:?}"
-            ));
         }
 
         // Invariant 3: no structured connection points at a dead node.
@@ -126,6 +128,9 @@ pub fn audit_ring(
                 ));
             }
         }
+    }
+    if !ring {
+        return report;
     }
 
     // Invariant 4: greedy routability between random live pairs.
@@ -237,6 +242,25 @@ mod tests {
         let report = audit_ring(SimTime::ZERO, &snaps, 0, &mut rng);
         assert!(!report.passed());
         assert!(report.violations.iter().any(|v| v.contains("dangling")));
+    }
+
+    /// A lone survivor has no ring invariants to check, but a structured
+    /// link to a dead peer still means the failure detector has not
+    /// finished: the audit must not call it healed.
+    #[test]
+    fn lone_survivor_linking_the_dead_is_flagged() {
+        let mut snaps = perfect_ring(&[a(100), a(200)]);
+        snaps.truncate(1);
+        let mut rng = SmallRng::seed_from_u64(7);
+        let report = audit_ring(SimTime::ZERO, &snaps, 16, &mut rng);
+        assert!(!report.passed());
+        assert!(report.violations[0].contains("dangling"));
+        assert_eq!(report.pairs_checked, 0);
+
+        // Once it drops the link, the survivor audits whole.
+        snaps[0].table.remove_role(a(200), ConnType::StructuredNear);
+        assert!(audit_ring(SimTime::ZERO, &snaps, 16, &mut rng).passed());
+        assert!(audit_ring(SimTime::ZERO, &[], 16, &mut rng).passed());
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! Churn scenario runner: the paper's kill-k-nodes self-healing experiment.
 //!
-//! Builds a public overlay on the simulator, lets it converge, then injects
+//! A configuration over [`crate::harness`]: builds a
+//! [`public_overlay`] on the simulator, lets it converge, then injects
 //! batches of simultaneous host crashes through the faultlab layer
 //! (`wow_netsim::fault`) and measures **time-to-repair**: the first moment
 //! the ring auditor ([`crate::audit`]) finds every structural invariant
 //! restored over the surviving membership. Optionally restarts the victims
 //! after a fixed downtime — restarted nodes come back with a clean slate
 //! (fresh port bindings, no NAT mappings, empty connection table) and must
-//! rejoin through the bootstrap like any newcomer.
+//! rejoin through the bootstrap like any newcomer. The repair wait is
+//! [`settle`] on [`Schedule::backoff`].
 //!
 //! Everything — victim choice, fault times, audit sampling — derives from
 //! the scenario seed, so one seed replays the exact fault transcript and
@@ -18,14 +20,11 @@ use rand::Rng;
 
 use wow_netsim::fault::FaultRecord;
 use wow_netsim::prelude::*;
-use wow_overlay::addr::Address;
-use wow_overlay::conn::ConnSnapshot;
-use wow_overlay::node::BrunetNode;
-use wow_overlay::prelude::{OverlayConfig, TelemetryCounters};
-use wow_overlay::uri::TransportUri;
+use wow_overlay::prelude::TelemetryCounters;
 
-use crate::audit::{audit_ring, AuditReport};
-use crate::simrt::{ForwardingCost, NoApp, OverlayHost};
+use crate::audit::AuditReport;
+use crate::harness::{public_overlay, settle, Overlay, Schedule};
+use crate::simrt::NoApp;
 
 /// Parameters of one churn scenario.
 #[derive(Clone, Debug)]
@@ -88,9 +87,9 @@ pub struct BatchOutcome {
     /// The last audit of the batch (the passing one, or the final failing
     /// one if the repair bound was breached).
     pub last_report: AuditReport,
-    /// Auditor passes spent waiting for this batch to repair. The settle
-    /// loop polls on a doubling backoff (starting at `poll`, capped at
-    /// 8×), so this grows logarithmically with repair time rather than
+    /// Auditor passes spent waiting for this batch to repair. The wait
+    /// polls on [`Schedule::backoff`] (gaps doubling from `poll`, capped
+    /// at 8×), so this grows logarithmically with repair time rather than
     /// linearly — the regression test in `tests/churn.rs` pins that.
     pub audit_polls: usize,
 }
@@ -132,85 +131,11 @@ impl ChurnOutcome {
     }
 }
 
-const PORT: u16 = 4000;
-
-struct Net {
-    sim: Sim,
-    hosts: Vec<HostId>,
-    actors: Vec<ActorId>,
-    down: Vec<bool>,
-}
-
-impl Net {
-    /// Snapshot every live node's connection table.
-    fn snapshots(&mut self) -> Vec<ConnSnapshot> {
-        let mut out = Vec::new();
-        for (i, &actor) in self.actors.iter().enumerate() {
-            if self.down[i] {
-                continue;
-            }
-            out.push(
-                self.sim
-                    .with_actor::<OverlayHost<NoApp>, _>(actor, |h, _| h.node().conn_snapshot()),
-            );
-        }
-        out
-    }
-}
-
-/// Build the pre-fault overlay: `n` public nodes, node 0 as bootstrap,
-/// staggered starts — the same shape as the convergence tests, so audited
-/// behaviour transfers.
-fn build(cfg: &ChurnConfig) -> Net {
-    let mut sim = Sim::new(cfg.seed);
-    sim.set_workers(cfg.workers);
-    let wan = sim.add_domain(DomainSpec::public("wan"));
-    let seeds = SeedSplitter::new(cfg.seed);
-    let mut rng = seeds.rng("addresses");
-    let mut hosts = Vec::new();
-    let mut actors = Vec::new();
-    let mut bootstrap = Vec::new();
-    for i in 0..cfg.nodes {
-        let host = sim.add_host(wan, HostSpec::new(format!("h{i}")));
-        let addr = Address::random(&mut rng);
-        let node = BrunetNode::new(
-            addr,
-            OverlayConfig::default(),
-            seeds.seed_for_indexed("node", i as u64),
-        );
-        let actor = sim.add_actor_at(
-            host,
-            SimTime::from_millis(i as u64 * 200),
-            OverlayHost::new(
-                node,
-                PORT,
-                bootstrap.clone(),
-                ForwardingCost::end_node(),
-                NoApp,
-            ),
-        );
-        if i == 0 {
-            bootstrap.push(TransportUri::udp(PhysAddr::new(
-                sim.world().host_ip(host),
-                PORT,
-            )));
-        }
-        hosts.push(host);
-        actors.push(actor);
-    }
-    Net {
-        sim,
-        hosts,
-        actors,
-        down: vec![false; cfg.nodes],
-    }
-}
-
 /// Draw `k` distinct victims from the live, non-bootstrap nodes.
-fn pick_victims(net: &Net, k: usize, rng: &mut SmallRng) -> Vec<usize> {
+fn pick_victims(net: &Overlay<NoApp>, k: usize, rng: &mut SmallRng) -> Vec<usize> {
     // Node 0 is the bootstrap for rejoins; the paper's experiment keeps the
     // seed node alive too.
-    let mut pool: Vec<usize> = (1..net.actors.len()).filter(|&i| !net.down[i]).collect();
+    let mut pool: Vec<usize> = (1..net.actors().len()).filter(|&i| net.live[i]).collect();
     let take = k.min(pool.len());
     let mut out = Vec::with_capacity(take);
     for _ in 0..take {
@@ -226,97 +151,51 @@ pub fn run(cfg: &ChurnConfig) -> ChurnOutcome {
     let seeds = SeedSplitter::new(cfg.seed);
     let mut victim_rng = seeds.rng("churn-victims");
     let mut audit_rng = seeds.rng("churn-audit");
-    let mut net = build(cfg);
+    // The same shape as the convergence tests, so audited behaviour
+    // transfers.
+    let mut net = public_overlay(cfg.seed, cfg.nodes, cfg.workers);
 
     net.sim.run_until(SimTime::ZERO + cfg.converge);
-    let snaps = net.snapshots();
-    let initial = audit_ring(net.sim.now(), &snaps, cfg.route_samples, &mut audit_rng);
-    let initial_ok = initial.passed();
+    let initial_ok = net.audit(cfg.route_samples, &mut audit_rng).passed();
 
     let mut batches = Vec::new();
     for batch in 0..cfg.batches {
         let killed = pick_victims(&net, cfg.kill, &mut victim_rng);
         let at = net.sim.now();
         for &i in &killed {
-            net.down[i] = true;
-            net.sim.world().crash_host(net.hosts[i]);
+            net.crash(i);
         }
-        if let Some(downtime) = cfg.restart_after {
+        let back = cfg.restart_after.map(|downtime| at + downtime);
+        if let Some(back) = back {
             for &i in &killed {
-                let host = net.hosts[i];
-                let actor = net.actors[i];
-                net.sim.schedule(at + downtime, move |sim| {
-                    sim.world().restart_host(host);
-                    sim.with_actor::<OverlayHost<NoApp>, _>(actor, |h, ctx| {
-                        h.restart_node(ctx);
-                    });
-                });
+                net.schedule_restart(i, back);
             }
         }
 
-        // Poll the auditor until the ring is whole again or the repair
-        // bound is breached. The interval doubles from `poll` up to an 8×
-        // cap: early polls catch fast repairs with fine granularity, late
-        // polls stop burning a full auditor pass (snapshots + route
-        // samples) every few simulated seconds on a ring that is still
-        // converging. The last poll clamps to the deadline so the repair
-        // bound is checked exactly, never overshot.
-        let deadline = at + cfg.settle;
-        let mut repaired_at = None;
-        let mut last_report;
-        let mut audit_polls = 0usize;
-        let mut interval_us = cfg.poll.as_micros();
-        let cap_us = cfg.poll.as_micros().saturating_mul(8);
-        loop {
-            let next = (net.sim.now() + SimDuration::from_micros(interval_us)).min(deadline);
-            interval_us = interval_us.saturating_mul(2).min(cap_us);
-            net.sim.run_until(next);
-            if let Some(downtime) = cfg.restart_after {
+        let settled = settle(at, at + cfg.settle, Schedule::backoff(cfg.poll), |t| {
+            net.sim.run_until(t);
+            if back.is_some_and(|back| t >= back) {
                 // Restarted victims are back in the audited membership.
                 for &i in &killed {
-                    if net.sim.now() >= at + downtime {
-                        net.down[i] = false;
-                    }
+                    net.live[i] = true;
                 }
             }
-            let snaps = net.snapshots();
-            let report = audit_ring(net.sim.now(), &snaps, cfg.route_samples, &mut audit_rng);
-            audit_polls += 1;
-            let passed = report.passed();
-            last_report = report;
-            if passed {
-                repaired_at = Some(net.sim.now());
-                break;
-            }
-            if net.sim.now() >= deadline {
-                break;
-            }
-        }
+            net.audit(cfg.route_samples, &mut audit_rng)
+        });
         batches.push(BatchOutcome {
             batch,
             killed,
             at,
-            repaired_at,
-            last_report,
-            audit_polls,
+            repaired_at: settled.repaired_at,
+            last_report: settled.last,
+            audit_polls: settled.polls,
         });
     }
 
-    let mut counters = TelemetryCounters::new();
-    for (i, &actor) in net.actors.iter().enumerate() {
-        if net.down[i] {
-            continue;
-        }
-        let c = net
-            .sim
-            .with_actor::<OverlayHost<NoApp>, _>(actor, |h, _| h.counters());
-        counters.merge(&c);
-    }
-    let transcript = net.sim.world_ref().fault_transcript().to_vec();
     ChurnOutcome {
-        transcript,
+        transcript: net.sim.world_ref().fault_transcript().to_vec(),
         initial_ok,
         batches,
-        counters,
+        counters: net.live_counters(),
     }
 }

@@ -10,6 +10,9 @@
 //! * [`workstation`] — a *virtual workstation*: an overlay node with an
 //!   IPOP virtual NIC and a user-level IP stack, on which unmodified
 //!   middleware runs;
+//! * [`harness`] — the simulated-overlay world the self-healing
+//!   experiments share: a bootstrapped or pre-wired ring builder, live
+//!   snapshots and the repair wait over the [`audit`] ring auditor;
 //! * [`testbed`] — the paper's Figure-1 / Table-I deployment: 33 WOW nodes
 //!   across six NAT/firewalled domains plus 118 PlanetLab-class routers;
 //! * [`migrate`] — WAN VM migration choreography (suspend, image copy,
@@ -22,6 +25,7 @@
 
 pub mod audit;
 pub mod churn;
+pub mod harness;
 pub mod migrate;
 pub mod reactor;
 pub mod simrt;

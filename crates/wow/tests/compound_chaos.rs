@@ -18,17 +18,15 @@
 
 use rand::Rng;
 
-use wow::audit::audit_ring;
-use wow::simrt::{ForwardingCost, NoApp, OverlayHost};
+use wow::harness::{settle, Overlay, Schedule, PORT};
+use wow::simrt::NoApp;
 use wow_netsim::fault::{FaultKind, FaultPlan, FaultRecord};
 use wow_netsim::prelude::*;
 use wow_overlay::addr::Address;
-use wow_overlay::conn::ConnSnapshot;
 use wow_overlay::node::BrunetNode;
 use wow_overlay::prelude::{Counter, OverlayConfig, TelemetryCounters};
 use wow_overlay::uri::TransportUri;
 
-const PORT: u16 = 4000;
 /// Nodes 0..4 accept wildcard joins; node 0 is the legacy seed/overlord.
 const INTRODUCERS: usize = 4;
 /// Plain public nodes behind the introducers.
@@ -108,8 +106,8 @@ fn run_scenario(seed: u64, workers: usize) -> Outcome {
         .map(|&h| TransportUri::udp(PhysAddr::new(sim.world().host_ip(h), PORT)))
         .collect();
 
+    let mut net = Overlay::new(sim);
     let mut addr_rng = seeds.rng("addresses");
-    let mut actors = Vec::new();
     for (i, &host) in hosts.iter().enumerate() {
         // Introducer i dials only its predecessors (node 0 dials nobody);
         // everyone else carries the full four-entry introducer list.
@@ -123,11 +121,8 @@ fn run_scenario(seed: u64, workers: usize) -> Outcome {
             OverlayConfig::default(),
             seeds.seed_for_indexed("node", i as u64),
         );
-        actors.push(sim.add_actor_at(
-            host,
-            SimTime::from_millis(i as u64 * 200),
-            OverlayHost::new(node, PORT, bootstrap, ForwardingCost::end_node(), NoApp),
-        ));
+        let start = SimTime::from_millis(i as u64 * 200);
+        net.add_node(host, start, node, bootstrap, NoApp);
     }
 
     // The fault timeline, all relative to the converge deadline.
@@ -151,17 +146,7 @@ fn run_scenario(seed: u64, workers: usize) -> Outcome {
         OverlayConfig::default(),
         seeds.seed_for_indexed("node", n as u64),
     );
-    let joiner_actor = sim.add_actor_at(
-        joiner_host,
-        joiner_start,
-        OverlayHost::new(
-            joiner_node,
-            PORT,
-            intro_uris.clone(),
-            ForwardingCost::end_node(),
-            NoApp,
-        ),
-    );
+    let joiner = net.add_node(joiner_host, joiner_start, joiner_node, intro_uris, NoApp);
 
     // Kill-k victims come from the plain wan nodes, seeded.
     let mut victim_rng = seeds.rng("chaos-victims");
@@ -193,22 +178,16 @@ fn run_scenario(seed: u64, workers: usize) -> Outcome {
     for &i in &crashed_intros {
         plan = plan.at(intro_crash_at, FaultKind::Crash { host: hosts[i] });
     }
-    plan.inject(&mut sim);
+    plan.inject(&mut net.sim);
 
     // Clean-slate restarts: the host comes back with fresh bindings and the
     // runtime restarts the node, re-seeding only its introducer cache
     // (`JoinState`) — the tentpole contract under test.
-    for (&idx, restart_at) in victims
-        .iter()
-        .map(|v| (v, victim_restart))
-        .chain(crashed_intros.iter().map(|i| (i, intro_restart)))
-    {
-        let host = hosts[idx];
-        let actor = actors[idx];
-        sim.schedule(restart_at, move |sim| {
-            sim.world().restart_host(host);
-            sim.with_actor::<OverlayHost<NoApp>, _>(actor, |h, ctx| h.restart_node(ctx));
-        });
+    for &v in &victims {
+        net.schedule_restart(v, victim_restart);
+    }
+    for &i in &crashed_intros {
+        net.schedule_restart(i, intro_restart);
     }
 
     // Who belongs to the audited membership at time `now`: crashed nodes
@@ -224,32 +203,22 @@ fn run_scenario(seed: u64, workers: usize) -> Outcome {
         if i == 0 {
             return !(partition_at <= now && now < heal_at);
         }
+        if i == joiner {
+            return now >= joiner_start;
+        }
         true
     };
-    let snapshots = |sim: &mut Sim| -> Vec<ConnSnapshot> {
-        let now = sim.now();
-        let mut snaps: Vec<ConnSnapshot> = actors
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| is_member(i, now))
-            .map(|(_, &a)| {
-                sim.with_actor::<OverlayHost<NoApp>, _>(a, |h, _| h.node().conn_snapshot())
-            })
-            .collect();
-        if now >= joiner_start {
-            snaps.push(
-                sim.with_actor::<OverlayHost<NoApp>, _>(joiner_actor, |h, _| {
-                    h.node().conn_snapshot()
-                }),
-            );
+    let mut audit_rng = seeds.rng("chaos-audit");
+    let mut audit = |net: &mut Overlay<NoApp>| {
+        let now = net.sim.now();
+        for i in 0..net.live.len() {
+            net.live[i] = is_member(i, now);
         }
-        snaps
+        net.audit(ROUTE_SAMPLES, &mut audit_rng)
     };
 
-    let mut audit_rng = seeds.rng("chaos-audit");
-    sim.run_until(t0);
-    let snaps = snapshots(&mut sim);
-    let initial_ok = audit_ring(sim.now(), &snaps, ROUTE_SAMPLES, &mut audit_rng).passed();
+    net.sim.run_until(t0);
+    let initial_ok = audit(&mut net).passed();
 
     // Poll the auditor straight through the chaos (recorded, not asserted:
     // the ring is legitimately torn while faults are active). The last
@@ -257,57 +226,34 @@ fn run_scenario(seed: u64, workers: usize) -> Outcome {
     // heal — so the joiner check below really runs under the partition.
     let mut mid_polls = Vec::new();
     for off in [10u64, 20, 30, 40, 50, 60, 69] {
-        sim.run_until(at(off));
-        let snaps = snapshots(&mut sim);
-        let report = audit_ring(sim.now(), &snaps, ROUTE_SAMPLES, &mut audit_rng);
-        mid_polls.push((sim.now(), report.passed()));
+        net.sim.run_until(at(off));
+        mid_polls.push((net.sim.now(), audit(&mut net).passed()));
     }
-    let joiner_routable_under_partition =
-        sim.with_actor::<OverlayHost<NoApp>, _>(joiner_actor, |h, _| h.node().is_routable());
+    let joiner_routable_under_partition = net.with(joiner, |h, _| h.node().is_routable());
 
-    // Final heal, then wait for whole-membership repair on a backoff-paced
-    // audit schedule (interval doubles up to a cap — same discipline as the
-    // churn runner).
-    sim.run_until(heal_at);
-    let deadline = heal_at + SETTLE;
-    let mut interval_us = SimDuration::from_secs(5).as_micros();
-    let cap_us = SimDuration::from_secs(40).as_micros();
-    let mut repaired_at = None;
-    let mut settle_polls = 0;
-    let mut last_violations = Vec::new();
-    loop {
-        let next = (sim.now() + SimDuration::from_micros(interval_us)).min(deadline);
-        sim.run_until(next);
-        settle_polls += 1;
-        let snaps = snapshots(&mut sim);
-        let report = audit_ring(sim.now(), &snaps, ROUTE_SAMPLES, &mut audit_rng);
-        if report.passed() {
-            repaired_at = Some(sim.now());
-            last_violations.clear();
-            break;
-        }
-        last_violations = report.violations;
-        if sim.now() >= deadline {
-            break;
-        }
-        interval_us = (interval_us * 2).min(cap_us);
-    }
+    // Final heal, then wait for whole-membership repair on the same
+    // backoff-paced audit schedule as the churn runner.
+    net.sim.run_until(heal_at);
+    let settled = settle(
+        heal_at,
+        heal_at + SETTLE,
+        Schedule::backoff(SimDuration::from_secs(5)),
+        |t| {
+            net.sim.run_until(t);
+            audit(&mut net)
+        },
+    );
 
-    let mut counters = TelemetryCounters::new();
-    for &actor in actors.iter().chain(std::iter::once(&joiner_actor)) {
-        let c = sim.with_actor::<OverlayHost<NoApp>, _>(actor, |h, _| h.counters());
-        counters.merge(&c);
-    }
     Outcome {
-        transcript: sim.world_ref().fault_transcript().to_vec(),
+        transcript: net.sim.world_ref().fault_transcript().to_vec(),
         initial_ok,
         mid_polls,
         joiner_routable_under_partition,
         heal_at,
-        repaired_at,
-        settle_polls,
-        last_violations,
-        counters,
+        repaired_at: settled.repaired_at,
+        settle_polls: settled.polls,
+        last_violations: settled.last.violations,
+        counters: net.live_counters(),
     }
 }
 

@@ -4,6 +4,7 @@
 use bytes::Bytes;
 use std::sync::{Arc, Mutex};
 
+use wow::harness::{public_overlay, Overlay};
 use wow::simrt::{ForwardingCost, NoApp, NodeHandle, OverlayApp, OverlayHost};
 use wow_netsim::prelude::*;
 use wow_overlay::addr::Address;
@@ -14,70 +15,17 @@ use wow_overlay::uri::TransportUri;
 
 const PORT: u16 = 4000;
 
-struct Net {
-    sim: Sim,
-    actors: Vec<ActorId>,
-    addrs: Vec<Address>,
-}
-
-/// Build an overlay of `n` public nodes, the first acting as bootstrap.
-fn public_overlay(seed: u64, n: usize) -> Net {
-    let mut sim = Sim::new(seed);
-    let wan = sim.add_domain(DomainSpec::public("wan"));
-    let seeds = SeedSplitter::new(seed);
-    let mut rng = seeds.rng("addresses");
-    let mut actors = Vec::new();
-    let mut addrs = Vec::new();
-    let mut bootstrap = Vec::new();
-    for i in 0..n {
-        let host = sim.add_host(wan, HostSpec::new(format!("h{i}")));
-        let addr = Address::random(&mut rng);
-        let node = BrunetNode::new(
-            addr,
-            OverlayConfig::default(),
-            seeds.seed_for_indexed("node", i as u64),
-        );
-        let actor = sim.add_actor_at(
-            host,
-            SimTime::from_millis(i as u64 * 200),
-            OverlayHost::new(
-                node,
-                PORT,
-                bootstrap.clone(),
-                ForwardingCost::end_node(),
-                NoApp,
-            ),
-        );
-        if i == 0 {
-            bootstrap.push(TransportUri::udp(PhysAddr::new(
-                sim.world().host_ip(host),
-                PORT,
-            )));
-        }
-        actors.push(actor);
-        addrs.push(addr);
-    }
-    let _ = (wan, bootstrap);
-    Net { sim, actors, addrs }
-}
-
 /// Assert the structured-near graph is a consistent ring: every node's
 /// closest clockwise structured peer is exactly the next node in address
 /// order.
-fn assert_ring_consistent(net: &mut Net) {
-    let mut order: Vec<(Address, usize)> =
-        net.addrs.iter().copied().zip(0..net.addrs.len()).collect();
+fn assert_ring_consistent(net: &mut Overlay<NoApp>) {
+    let mut order: Vec<(Address, usize)> = net.addrs().iter().copied().zip(0..).collect();
     order.sort();
     let n = order.len();
     for i in 0..n {
         let (addr, idx) = order[i];
         let (succ_addr, _) = order[(i + 1) % n];
-        let actor = net.actors[idx];
-        let nearest = net
-            .sim
-            .with_actor::<OverlayHost<NoApp>, _>(actor, |host, _| {
-                host.node().conns().nearest_cw(addr, 1).next()
-            });
+        let nearest = net.with(idx, |h, _| h.node().conns().nearest_cw(addr, 1).next());
         assert_eq!(
             nearest,
             Some(succ_addr),
@@ -88,23 +36,20 @@ fn assert_ring_consistent(net: &mut Net) {
 
 #[test]
 fn ring_of_two_forms() {
-    let mut net = public_overlay(1, 2);
+    let mut net = public_overlay(1, 2, 0);
     net.sim.run_until(SimTime::from_secs(30));
-    for &actor in &net.actors {
-        let routable = net
-            .sim
-            .with_actor::<OverlayHost<NoApp>, _>(actor, |h, _| h.node().is_routable());
-        assert!(routable);
+    for i in 0..net.actors().len() {
+        assert!(net.with(i, |h, _| h.node().is_routable()));
     }
     assert_ring_consistent(&mut net);
 }
 
 #[test]
 fn ring_of_sixteen_converges_and_is_consistent() {
-    let mut net = public_overlay(2, 16);
+    let mut net = public_overlay(2, 16, 0);
     net.sim.run_until(SimTime::from_secs(120));
-    for (i, &actor) in net.actors.iter().enumerate() {
-        let (routable, nears) = net.sim.with_actor::<OverlayHost<NoApp>, _>(actor, |h, _| {
+    for i in 0..net.actors().len() {
+        let (routable, nears) = net.with(i, |h, _| {
             (
                 h.node().is_routable(),
                 h.node().conns().with_type(ConnType::StructuredNear).count(),
@@ -126,16 +71,8 @@ fn churn_seed() -> u64 {
 }
 
 /// Ring probes sent so far, summed over the overlay.
-fn ring_probes(net: &mut Net) -> u64 {
-    let actors = net.actors.clone();
-    actors
-        .iter()
-        .map(|&a| {
-            net.sim.with_actor::<OverlayHost<NoApp>, _>(a, |h, _| {
-                h.counters().get(Counter::CtmRingProbe)
-            })
-        })
-        .sum()
+fn ring_probes(net: &mut Overlay<NoApp>) -> u64 {
+    net.live_counters().get(Counter::CtmRingProbe)
 }
 
 /// A settled ring pays keepalives and neighbour queries, not a routed
@@ -145,7 +82,7 @@ fn ring_probes(net: &mut Net) -> u64 {
 #[test]
 fn settled_ring_backs_its_probes_off() {
     const NODES: usize = 32;
-    let mut net = public_overlay(churn_seed(), NODES);
+    let mut net = public_overlay(churn_seed(), NODES, 0);
     let from = SimTime::from_secs(120);
     let until = SimTime::from_secs(300);
     net.sim.run_until(from);
@@ -164,11 +101,11 @@ fn settled_ring_backs_its_probes_off() {
 
 #[test]
 fn far_connections_reach_target_count() {
-    let mut net = public_overlay(3, 24);
+    let mut net = public_overlay(3, 24, 0);
     net.sim.run_until(SimTime::from_secs(300));
     let mut counts = Vec::new();
-    for &actor in &net.actors {
-        counts.push(net.sim.with_actor::<OverlayHost<NoApp>, _>(actor, |h, _| {
+    for i in 0..net.actors().len() {
+        counts.push(net.with(i, |h, _| {
             h.node().conns().with_type(ConnType::StructuredFar).count()
         }));
     }

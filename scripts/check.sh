@@ -10,6 +10,15 @@ cd "$(dirname "$0")/.."
 echo "==> no retired twin in shipping code"
 if find crates/*/src examples benchmark/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'legacy_bootstrap|set_batching|tick_due|next_hop_scan|peer_by_remote_scan|Backend::Thread|UdpNode::spawn|transit_fast_path:|WOW_SIM_WORKERS|ChurnBenchConfig|LiveConfig'; then exit 1; fi
 
+# One simulated-overlay harness: churn, scale, the join storm and compound
+# chaos build their worlds, snapshot the live nodes and wait for repair
+# through crates/wow/src/harness.rs. A private ring seeder or audit loop
+# elsewhere is a fifth copy coming back.
+echo "==> audit_ring( and seed_connection( only in their homes"
+shipping() { find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} +; }
+if shipping | grep -F 'audit_ring(' | grep -vE '^crates/wow/src/(audit|harness)\.rs:'; then exit 1; fi
+if shipping | grep -F 'seed_connection(' | grep -vE '^crates/(overlay/src/node|wow/src/harness)\.rs:'; then exit 1; fi
+
 # One rule set per host: parallel lanes reach host columns only through the
 # host handle, so the simulator keeps exactly four `unsafe` sites (DESIGN.md
 # "Parallel event core" lists them). A fifth is a design change, not a
