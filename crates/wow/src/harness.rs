@@ -13,8 +13,9 @@
 //! * one repair wait, [`settle`]: run to each time a poll [`Schedule`]
 //!   yields, clamped to the deadline, audit, stop at the first pass.
 //!
-//! Every random draw comes from a stream the caller names, so a world built
-//! here is byte-identical to the hand-rolled builder it replaced.
+//! The harness draws no randomness of its own: the caller (or
+//! [`public_overlay`]'s fixed labels) names every stream, so a seed replays
+//! the same world, faults and audit verdicts.
 
 use std::marker::PhantomData;
 
