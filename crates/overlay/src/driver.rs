@@ -117,6 +117,14 @@ pub trait Transport {
         }
         failed
     }
+
+    /// Take back the storage of a received datagram the node consumed
+    /// rather than forwarded in place (a link frame, a CTM, a local
+    /// delivery, a frame that failed to decode or ran out of hops). The
+    /// default drops it; a runtime that pools its receive buffers returns
+    /// it to the pool if nothing else (a delivered payload) still shares
+    /// it.
+    fn reclaim(&mut self, _frame: Bytes) {}
 }
 
 /// A cold-path notification for the embedding application.
@@ -173,14 +181,20 @@ pub trait NodeSink {
             self.count(counter);
         }
     }
+
+    /// Hand back a received datagram's buffer the node is done with
+    /// ([`Transport::reclaim`]). Sinks without a transport drop it.
+    fn reclaim(&mut self, _frame: Bytes) {}
 }
 
 /// The sink a [`NodeDriver`] wires up per call: frames go into the cycle's
-/// [`FrameBatch`], events and counters into the driver's buffers.
+/// [`FrameBatch`], events and counters into the driver's buffers, and
+/// consumed receive buffers straight back to the transport.
 pub struct DriverSink<'a> {
     batch: &'a mut FrameBatch,
     events: &'a mut Vec<NodeEvent>,
     counters: &'a mut TelemetryCounters,
+    reclaim: &'a mut dyn FnMut(Bytes),
 }
 
 impl NodeSink for DriverSink<'_> {
@@ -202,6 +216,11 @@ impl NodeSink for DriverSink<'_> {
     #[inline]
     fn add_count(&mut self, counter: Counter, n: u64) {
         self.counters.add(counter, n);
+    }
+
+    #[inline]
+    fn reclaim(&mut self, frame: Bytes) {
+        (self.reclaim)(frame);
     }
 }
 
@@ -256,10 +275,12 @@ impl NodeDriver {
         transport: &mut T,
         f: impl FnOnce(&mut BrunetNode, &mut DriverSink<'_>) -> R,
     ) -> R {
+        let mut reclaim = |frame| transport.reclaim(frame);
         let mut sink = DriverSink {
             batch: &mut self.batch,
             events: &mut self.events,
             counters: &mut self.counters,
+            reclaim: &mut reclaim,
         };
         let out = f(&mut self.node, &mut sink);
         self.flush_frames(transport);

@@ -345,25 +345,24 @@ impl BrunetNode {
                 }
             }
         }
-        let frame = match Frame::decode(data) {
-            Ok(f) => f,
+        // Consumed, not forwarded in place: the storage goes back first.
+        // Decode copied out all but an App payload, which still shares it.
+        let frame = Frame::decode(data.clone());
+        sink.reclaim(data);
+        match frame {
+            Ok(Frame::Link(msg)) => self.on_link_msg(now, src, msg, sink),
+            Ok(Frame::Routed(pkt)) => self.route_packet(now, pkt, Some(src), sink),
             Err(_) => {
                 self.stats.decode_errors += 1;
                 sink.count(Counter::DroppedDecode);
-                return;
             }
-        };
-        match frame {
-            Frame::Link(msg) => self.on_link_msg(now, src, msg, sink),
-            Frame::Routed(pkt) => self.route_packet(now, pkt, Some(src), sink),
         }
     }
 
     /// Try to forward a peeked transit frame without decoding it. Returns
-    /// `None` when the datagram was fully handled (forwarded, or dropped on
-    /// TTL); returns the buffer back when routing says we are the nearest
-    /// node — the caller then decodes for nearest-delivery, exactly one
-    /// decode total.
+    /// `None` when the datagram was handled (forwarded, or dropped on TTL),
+    /// or the buffer back when routing says we are the nearest node: the
+    /// caller then decodes it for nearest-delivery, one decode in total.
     fn transit_forward<S: NodeSink + ?Sized>(
         &mut self,
         src: PhysAddr,
@@ -375,6 +374,7 @@ impl BrunetNode {
             return Some(data);
         };
         if !self.stats.spend_hop(h.hops, h.ttl, sink) {
+            sink.reclaim(data);
             return None;
         }
         sink.count(Counter::TransitFastPath);

@@ -20,7 +20,8 @@
 //!   a later re-arm or a node's departure made stale.
 //! * **ingress** — a readable socket is drained through
 //!   [`SocketTransport::recv_batch`] (`recvmmsg(2)` into the shard's
-//!   recycling [`BufPool`]), at most [`INGRESS_QUANTUM`] datagrams per
+//!   recycling [`BufPool`], which every receive buffer returns to: see
+//!   its docs), at most [`INGRESS_QUANTUM`] datagrams per
 //!   wake per node. The quantum plus level-triggered polling is the
 //!   fairness discipline: a flooded socket stays readable and simply
 //!   re-enters the next wake's ready set, after every other ready node has
@@ -33,7 +34,8 @@
 //! closes one socket, leaving the shard loop running for everyone else.
 //! The reactor's threads stop when the last handle onto the reactor —
 //! node handles hold one each — drops, and that drop *joins* them: no
-//! detached threads survive.
+//! detached threads survive, and a shard that panicked re-raises its panic
+//! there instead of vanishing.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -112,6 +114,9 @@ enum ShardCmd {
         gen: u32,
     },
     Stop,
+    /// Panic on the shard thread, standing in for a bug in a shard.
+    #[cfg(test)]
+    Crash,
 }
 
 struct ShardHandle {
@@ -136,13 +141,23 @@ struct ReactorInner {
 }
 
 impl Drop for ReactorInner {
+    /// Stop and join every shard. A shard that panicked re-raises its
+    /// panic here, after all shards are joined, so a lost result names
+    /// its cause — unless this thread is already unwinding, where a
+    /// second panic would abort and hide the first.
     fn drop(&mut self) {
         for s in &self.shards {
             s.send(ShardCmd::Stop);
         }
+        let mut panicked = None;
         for s in &mut self.shards {
-            if let Some(t) = s.thread.take() {
-                let _ = t.join();
+            if let Some(Err(payload)) = s.thread.take().map(|t| t.join()) {
+                panicked.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panicked {
+            if !std::thread::panicking() {
+                std::panic::resume_unwind(payload);
             }
         }
     }
@@ -322,15 +337,17 @@ impl Shard {
             .filter(|s| s.gen == gen)
     }
 
-    /// Dispatch events, refresh the shared snapshot, and (re-)arm the
-    /// slot's timer after any driver activity.
+    /// Dispatch events (delivered payloads' receive buffers back to
+    /// `pool`), refresh the shared snapshot, and (re-)arm the slot's timer
+    /// after any driver activity.
     fn settle(
         slot: &mut NodeSlot,
+        pool: &mut BufPool,
         timers: &mut BinaryHeap<Reverse<(u64, u32, u32)>>,
         idx: u32,
         now: SimTime,
     ) {
-        dispatch_events(&mut slot.driver, &slot.ev_tx);
+        dispatch_events(&mut slot.driver, &slot.ev_tx, pool);
         publish_snapshot(&slot.driver, &slot.snapshot);
         if let Some(deadline) = slot.driver.arm_hint(now) {
             timers.push(Reverse((deadline.as_micros(), idx, slot.gen)));
@@ -376,7 +393,7 @@ impl Shard {
             ev_tx,
             snapshot,
         };
-        Self::settle(&mut slot, &mut self.timers, idx, now);
+        Self::settle(&mut slot, &mut self.pool, &mut self.timers, idx, now);
         self.slots[idx as usize] = Some(slot);
         Ok((idx, gen))
     }
@@ -428,8 +445,9 @@ impl Shard {
                 slot.driver.on_datagram(now, src, frame, &mut transport);
             }
         }
-        // `transport`'s borrow of the slot ends here, freeing it for settle.
-        Self::settle(slot, timers, idx, now);
+        // `transport`'s borrows of the slot and the pool end here, freeing
+        // them for settle.
+        Self::settle(slot, pool, timers, idx, now);
     }
 
     fn fire_timers(&mut self) {
@@ -458,7 +476,7 @@ impl Shard {
             let t = SimTime::from_micros(epoch.elapsed().as_micros() as u64);
             let mut transport = SocketTransport::pooled(&slot.socket, pool);
             slot.driver.on_tick(t, &mut transport);
-            Self::settle(slot, timers, idx, t);
+            Self::settle(slot, pool, timers, idx, t);
         }
     }
 
@@ -542,7 +560,7 @@ fn shard_main(cmd_rx: Receiver<ShardCmd>, bell_rx: UdpSocket) {
                             let mut transport = SocketTransport::pooled(&s.socket, pool);
                             s.driver.send_app(now, dst, proto, data, &mut transport);
                         }
-                        Shard::settle(s, timers, slot, now);
+                        Shard::settle(s, pool, timers, slot, now);
                     }
                 }
                 ShardCmd::View { slot, gen, reply } => {
@@ -557,6 +575,8 @@ fn shard_main(cmd_rx: Receiver<ShardCmd>, bell_rx: UdpSocket) {
                 }
                 ShardCmd::Deregister { slot, gen } => shard.deregister(slot, gen),
                 ShardCmd::Stop => return,
+                #[cfg(test)]
+                ShardCmd::Crash => panic!("shard crashed on command"),
             }
         }
         shard.fire_timers();
@@ -754,5 +774,35 @@ mod sys {
             ready.extend(self.tokens.values().copied());
             Ok(())
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_shard_panic_is_re_raised_when_the_reactor_drops() {
+        let reactor = Reactor::new(2).expect("start reactor");
+        reactor.inner.shards[1].send(ShardCmd::Crash);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(reactor)))
+            .expect_err("the shard's panic must surface");
+        assert_eq!(
+            err.downcast_ref::<&str>(),
+            Some(&"shard crashed on command")
+        );
+    }
+
+    #[test]
+    fn a_caller_already_unwinding_keeps_its_own_panic() {
+        let reactor = Reactor::new(1).expect("start reactor");
+        reactor.inner.shards[0].send(ShardCmd::Crash);
+        let err = std::thread::spawn(move || {
+            let _held = reactor;
+            panic!("the caller's own panic");
+        })
+        .join()
+        .expect_err("the caller panicked");
+        assert_eq!(err.downcast_ref::<&str>(), Some(&"the caller's own panic"));
     }
 }

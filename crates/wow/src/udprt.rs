@@ -14,9 +14,12 @@
 //! ingress through `recvmmsg(2)` into a recycling [`BufPool`] — the kernel
 //! writes each datagram straight into the uniquely-owned `Bytes` the
 //! driver will consume, so the transit fast path can still patch the hop
-//! count in place and forward the same allocation. Buffers whose frames
-//! are forwarded come back to the pool at the egress flush; steady-state
-//! forwarding allocates nothing on the receive path.
+//! count in place and forward the same allocation. Every buffer goes back
+//! to the pool: a forwarded frame's at the egress flush, a consumed one's
+//! (link frame, CTM) through [`Transport::reclaim`] once the node has
+//! decoded it, and a delivered payload's once the application has been
+//! handed a right-sized copy. The steady state allocates no receive buffer
+//! at all.
 //!
 //! The control surface is deliberately small: send an application payload,
 //! observe deliveries/connections via a crossbeam channel, inspect
@@ -106,7 +109,16 @@ pub(crate) fn live_view(driver: &NodeDriver, local: PhysAddr) -> LiveView {
 }
 
 /// Dispatch the driver's buffered events into the handle's channel.
-pub(crate) fn dispatch_events(driver: &mut NodeDriver, ev_tx: &Sender<UdpEvent>) {
+///
+/// A delivered payload is a view into the 64 KiB receive buffer it arrived
+/// in. The application gets a copy of exactly the payload's length and the
+/// receive buffer goes back to `pool`, so an unread delivery pins its own
+/// bytes and nothing more.
+pub(crate) fn dispatch_events(
+    driver: &mut NodeDriver,
+    ev_tx: &Sender<UdpEvent>,
+    pool: &mut BufPool,
+) {
     if !driver.has_events() {
         return;
     }
@@ -118,12 +130,16 @@ pub(crate) fn dispatch_events(driver: &mut NodeDriver, ev_tx: &Sender<UdpEvent>)
                 proto,
                 data,
                 exact,
-            } => ev_tx.send(UdpEvent::Deliver {
-                src,
-                proto,
-                data,
-                exact,
-            }),
+            } => {
+                let payload = Bytes::copy_from_slice(&data);
+                pool.reclaim(data);
+                ev_tx.send(UdpEvent::Deliver {
+                    src,
+                    proto,
+                    data: payload,
+                    exact,
+                })
+            }
             NodeEvent::Connected { peer, ctype } => ev_tx.send(UdpEvent::Connected { peer, ctype }),
             NodeEvent::Disconnected { peer } => ev_tx.send(UdpEvent::Disconnected { peer }),
             NodeEvent::LinkFailed { .. } => Ok(()),
@@ -159,19 +175,23 @@ pub(crate) const RECV_BATCH: usize = 32;
 /// bytes of storage. The receive path pops one, lets the kernel write a
 /// datagram into it, narrows the view to the datagram length and hands it
 /// to the driver — sole ownership included, which is what keeps the
-/// decode-free transit path's in-place hop patch alive. Buffers return at
-/// the egress flush: after `transmit_batch` hands a forwarded frame to the
-/// kernel, the frame's storage is unique again and
-/// [`bytes::Bytes::try_reclaim`] restores the full view for reuse. A
-/// datagram the node consumes (ping, local delivery) dies inside the
-/// cycle instead; its buffer is replaced lazily by [`BufPool::pop`] — so
-/// the *forwarding* steady state allocates nothing, while consumed
-/// traffic costs one pool refill each.
+/// decode-free transit path's in-place hop patch alive. Every buffer comes
+/// back, and [`bytes::Bytes::try_reclaim`] restores its full view:
+///
+/// * a forwarded frame's after `transmit_batch` hands it to the kernel;
+/// * a consumed datagram's (link frame, CTM, decode error, TTL drop) once
+///   the node has decoded or dropped it, through [`Transport::reclaim`];
+/// * a locally delivered payload's when the reactor hands the application
+///   a right-sized copy (`dispatch_events`).
+///
+/// So the steady state mints nothing: [`BufPool::minted`] counts the
+/// buffers that had to be allocated because none was free.
 #[derive(Debug)]
 pub struct BufPool {
     free: Vec<Bytes>,
     cap: usize,
     max: usize,
+    minted: u64,
 }
 
 impl Default for BufPool {
@@ -187,6 +207,7 @@ impl BufPool {
             free: Vec::new(),
             cap,
             max,
+            minted: 0,
         }
     }
 
@@ -200,11 +221,17 @@ impl BufPool {
         self.free.len()
     }
 
+    /// Buffers minted (allocated because none was free) since creation.
+    pub fn minted(&self) -> u64 {
+        self.minted
+    }
+
     /// A uniquely-owned full-capacity buffer, recycled when possible.
     pub fn pop(&mut self) -> Bytes {
-        self.free
-            .pop()
-            .unwrap_or_else(|| Bytes::from(vec![0u8; self.cap]))
+        self.free.pop().unwrap_or_else(|| {
+            self.minted += 1;
+            Bytes::from(vec![0u8; self.cap])
+        })
     }
 
     /// Offer a buffer back. Accepted only when this handle is the sole
@@ -388,6 +415,12 @@ impl Transport for SocketTransport<'_> {
         #[cfg(not(target_os = "linux"))]
         {
             self.transmit_batch_fallback(batch)
+        }
+    }
+
+    fn reclaim(&mut self, frame: Bytes) {
+        if let Some(pool) = self.pool.as_deref_mut() {
+            pool.reclaim(frame);
         }
     }
 }
@@ -849,9 +882,11 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::SeedableRng;
+    use wow_netsim::time::SimTime;
     use wow_overlay::config::OverlayConfig;
     use wow_overlay::node::BrunetNode;
     use wow_overlay::telemetry::Counter;
+    use wow_overlay::wire::{Body, Frame, LinkMsg, Packet, RoutedHeader};
 
     /// A frame no UDP socket can send: over the 65,507-byte datagram
     /// maximum, so `send_to`/`sendmmsg` fail deterministically with
@@ -1051,6 +1086,160 @@ mod tests {
             1,
             "foreign storage must not enter the pool"
         );
+    }
+
+    /// A started node on `socket`, bootstrapping from nobody.
+    fn started(addr: Address, cfg: OverlayConfig, socket: &UdpSocket) -> NodeDriver {
+        let mut driver = NodeDriver::new(BrunetNode::new(addr, cfg, 1));
+        let uri = TransportUri::udp(from_sock(socket.local_addr().expect("addr")));
+        let mut transport = SocketTransport::new(socket);
+        driver.start(SimTime::ZERO, uri, Vec::new(), &mut transport);
+        driver
+    }
+
+    #[test]
+    fn no_consumed_datagram_keeps_pooled_storage() {
+        let (send, recv, dst) = pair();
+        let me = Address([0x22; 20]);
+        let stranger = Address([0x33; 20]);
+        let mut driver = started(me, OverlayConfig::default(), &recv);
+        let (ev_tx, ev_rx) = crossbeam::channel::unbounded();
+        let mut pool = BufPool::default();
+        let payload = b"right-sized";
+        let app = Frame::Routed(Packet {
+            src: stranger,
+            dst: me,
+            hops: 1,
+            ttl: 16,
+            edge_forwarded: false,
+            body: Body::App {
+                proto: 7,
+                data: Bytes::from_static(payload),
+            },
+        });
+        let ping = Frame::Link(LinkMsg::Ping {
+            from: stranger,
+            nonce: 4,
+        });
+        for (frame, what) in [(app, "delivered App frame"), (ping, "consumed Ping")] {
+            send.send_to(&frame.encode(), to_sock(dst)).expect("send");
+            let mut out = Vec::new();
+            let mut t = SocketTransport::pooled(&recv, &mut pool);
+            assert_eq!(t.recv_batch(&mut out, 1, true).expect("recv"), 1);
+            let (src, frame) = out.pop().expect("one datagram");
+            let before = pool.retained();
+            let mut t = SocketTransport::pooled(&recv, &mut pool);
+            driver.on_datagram(SimTime::ZERO, src, frame, &mut t);
+            dispatch_events(&mut driver, &ev_tx, &mut pool);
+            assert_eq!(
+                pool.retained(),
+                before + 1,
+                "the {what}'s receive buffer must go back to the pool"
+            );
+        }
+        let Ok(UdpEvent::Deliver { mut data, .. }) = ev_rx.try_recv() else {
+            panic!("the App frame must be delivered");
+        };
+        assert_eq!(&data[..], payload);
+        assert!(data.try_reclaim(), "the delivered payload is its own");
+        assert_eq!(
+            data.len(),
+            payload.len(),
+            "a delivery owns storage of its payload's length, not a receive buffer"
+        );
+    }
+
+    #[test]
+    fn steady_ping_and_app_exchange_mints_no_buffers() {
+        let socks = [0, 1].map(|_| {
+            let s = UdpSocket::bind("127.0.0.1:0").expect("bind");
+            s.set_nonblocking(true).expect("nonblocking");
+            s
+        });
+        let addrs = [Address([0x44; 20]), Address([0xcc; 20])];
+        let locals = socks
+            .each_ref()
+            .map(|s| from_sock(s.local_addr().expect("addr")));
+        // Stabilization slowed down so it does not stand in for the
+        // keepalives: a node pings a peer it has not heard from lately.
+        let cfg = OverlayConfig {
+            stabilize_interval: wow_netsim::time::SimDuration::from_secs(60),
+            ..OverlayConfig::default()
+        };
+        let mut drivers = [0, 1].map(|i| started(addrs[i], cfg.clone(), &socks[i]));
+        for i in 0..2 {
+            let peer = (addrs[1 - i], locals[1 - i]);
+            drivers[i].node_mut().seed_connection(
+                SimTime::ZERO,
+                peer.0,
+                ConnType::StructuredNear,
+                peer.1,
+            );
+        }
+        let mut pool = BufPool::default();
+        let (ev_tx, ev_rx) = crossbeam::channel::unbounded();
+        let (mut pings, mut apps) = (0u64, 0u64);
+        let mut minted_after_first = None;
+        for round in 0..40u64 {
+            // Simulated time: 5 s a round, so keepalives fall due every
+            // few rounds; app traffic every other round.
+            let now = SimTime::from_secs(5 * round);
+            for i in 0..2 {
+                let mut t = SocketTransport::pooled(&socks[i], &mut pool);
+                drivers[i].on_tick(now, &mut t);
+                if round % 2 == 0 {
+                    let data = Bytes::from_static(b"steady");
+                    drivers[i].send_app(now, addrs[1 - i], 7, data, &mut t);
+                }
+            }
+            // Pump both sockets until neither has anything queued, the
+            // way a shard drains a ready node: a batch in, then its events.
+            // Quiet twice, a moment apart, ends the round, so a datagram
+            // still in the loopback path is not left for the next one.
+            let mut out = Vec::new();
+            let mut quiet_once = false;
+            loop {
+                let mut quiet = true;
+                for i in 0..2 {
+                    {
+                        let mut t = SocketTransport::pooled(&socks[i], &mut pool);
+                        t.recv_batch(&mut out, RECV_BATCH, false).expect("recv");
+                        for (src, frame) in out.drain(..) {
+                            quiet = false;
+                            if RoutedHeader::peek(&frame).is_ok() {
+                                apps += 1;
+                            } else if matches!(
+                                Frame::decode(frame.clone()),
+                                Ok(Frame::Link(LinkMsg::Ping { .. }))
+                            ) {
+                                pings += 1;
+                            }
+                            drivers[i].on_datagram(now, src, frame, &mut t);
+                        }
+                    }
+                    dispatch_events(&mut drivers[i], &ev_tx, &mut pool);
+                }
+                if quiet && quiet_once {
+                    break;
+                }
+                quiet_once = quiet;
+                if quiet {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+            let first = *minted_after_first.get_or_insert(pool.minted());
+            assert_eq!(
+                pool.minted(),
+                first,
+                "round {round} minted a receive buffer after the first batch"
+            );
+        }
+        let delivered = std::iter::from_fn(|| ev_rx.try_recv().ok())
+            .filter(|ev| matches!(ev, UdpEvent::Deliver { data, .. } if &data[..] == b"steady"))
+            .count();
+        assert_eq!(delivered, 40, "every app message is delivered");
+        assert!(apps >= 40 && pings > 0, "{apps} app frames, {pings} pings");
+        assert!(minted_after_first.is_some_and(|m| m > 0));
     }
 
     /// A fast-converging config for wall-clock tests.
