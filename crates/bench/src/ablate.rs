@@ -131,18 +131,96 @@ pub struct ThresholdPoint {
 /// Two workstations behind different (cone, hairpinning) NATs exchange
 /// 1 ping/s; vary the score threshold; measure time-to-shortcut.
 pub fn threshold_point(threshold: f64, trials: u64, seed: u64) -> ThresholdPoint {
+    let cfg = OverlayConfig {
+        shortcut_threshold: threshold,
+        ..OverlayConfig::default()
+    };
+    let (median_time_to_direct, missed) = time_to_link(
+        &cfg,
+        trials,
+        |trial| seed ^ trial,
+        |sim| {
+            let a = sim.add_domain(DomainSpec::natted("a", NatConfig::hairpinning()));
+            let b = sim.add_domain(DomainSpec::natted("b", NatConfig::hairpinning()));
+            (a, b)
+        },
+        |node, peer| {
+            node.conns()
+                .get(peer)
+                .is_some_and(|c| c.types.contains(ConnType::Shortcut))
+        },
+    );
+    ThresholdPoint {
+        threshold,
+        median_time_to_direct,
+        missed,
+    }
+}
+
+// ------------------------------------------------------- URI ordering ----
+
+/// Result of one URI-order measurement.
+#[derive(Clone, Debug)]
+pub struct UriOrderPoint {
+    /// The ordering policy.
+    pub order: UriOrder,
+    /// Median seconds to a direct connection (both peers behind one
+    /// non-hairpin NAT — the UFL–UFL configuration).
+    pub median_time_to_direct: f64,
+    /// Trials that never connected.
+    pub missed: usize,
+}
+
+/// The UFL–UFL pathology: both nodes behind one non-hairpin NAT. With
+/// public-first URI ordering the linking protocol burns the full retry
+/// budget (~155 s) on the public mapping before the private address works.
+pub fn uri_order_point(order: UriOrder, trials: u64, seed: u64) -> UriOrderPoint {
+    let cfg = OverlayConfig {
+        uri_order: order,
+        ..OverlayConfig::default()
+    };
+    let (median_time_to_direct, missed) = time_to_link(
+        &cfg,
+        trials,
+        |trial| seed ^ (trial << 8),
+        |sim| {
+            // One shared, non-hairpin NAT for both workstations.
+            let campus = sim.add_domain(DomainSpec::natted("campus", NatConfig::typical()));
+            (campus, campus)
+        },
+        |node, peer| node.has_direct(peer),
+    );
+    UriOrderPoint {
+        order,
+        median_time_to_direct,
+        missed,
+    }
+}
+
+// -------------------------------------------------- the shared trial ----
+
+/// Run `trials` seeded trials of one two-workstation world and return the
+/// median seconds until B links to A (`linked` polled every 500 ms over a
+/// 400 s horizon) and how many trials never did.
+///
+/// Each trial seeds its simulator with `trial_seed(trial)`, starts 12
+/// public routers, then places A and B in the domains `nat_domains`
+/// creates; B pings A at 1/s from t = 4 s.
+fn time_to_link(
+    cfg: &OverlayConfig,
+    trials: u64,
+    trial_seed: impl Fn(u64) -> u64 + Sync,
+    nat_domains: impl Fn(&mut Sim) -> (DomainId, DomainId) + Sync,
+    linked: fn(&BrunetNode, Address) -> bool,
+) -> (f64, usize) {
     let times: Vec<Option<f64>> = (0..trials)
         .into_par_iter()
         .map(|trial| {
-            let cfg = OverlayConfig {
-                shortcut_threshold: threshold,
-                ..OverlayConfig::default()
-            };
-            let seeds = SeedSplitter::new(seed ^ trial);
-            let mut sim = Sim::new(seed ^ trial);
+            let seed = trial_seed(trial);
+            let seeds = SeedSplitter::new(seed);
+            let mut sim = Sim::new(seed);
             let wan = sim.add_domain(DomainSpec::public("wan"));
-            let a_dom = sim.add_domain(DomainSpec::natted("a", NatConfig::hairpinning()));
-            let b_dom = sim.add_domain(DomainSpec::natted("b", NatConfig::hairpinning()));
+            let (a_dom, b_dom) = nat_domains(&mut sim);
             let mut rng = seeds.rng("addr");
             let mut bootstrap: Vec<TransportUri> = Vec::new();
             for i in 0..12u64 {
@@ -196,7 +274,7 @@ pub fn threshold_point(threshold: f64, trials: u64, seed: u64) -> ThresholdPoint
                 control::workstation(
                     b_ip,
                     "ablate",
-                    cfg,
+                    cfg.clone(),
                     wow_vnet::tcp::TcpConfig::default(),
                     PORT,
                     bootstrap,
@@ -213,157 +291,31 @@ pub fn threshold_point(threshold: f64, trials: u64, seed: u64) -> ThresholdPoint
                 poll += SimDuration::from_millis(500);
                 let found = found.clone();
                 sim.schedule(poll, move |sim| {
-                    if found.lock().unwrap().is_some() {
+                    if found
+                        .lock()
+                        .expect("no poll panicked holding the lock")
+                        .is_some()
+                    {
                         return;
                     }
-                    let shortcut = sim.with_actor::<Workstation<PingProbe>, _>(b_actor, |ws, _| {
-                        ws.node()
-                            .conns()
-                            .get(a_addr)
-                            .is_some_and(|c| c.types.contains(ConnType::Shortcut))
+                    let done = sim.with_actor::<Workstation<PingProbe>, _>(b_actor, |ws, _| {
+                        linked(ws.node(), a_addr)
                     });
-                    if shortcut {
-                        *found.lock().unwrap() =
+                    if done {
+                        *found.lock().expect("no poll panicked holding the lock") =
                             Some(sim.now().saturating_since(t_start).as_secs_f64());
                     }
                 });
             }
             sim.run_until(horizon);
-            let out = *found.lock().unwrap();
+            let out = *found.lock().expect("no poll panicked holding the lock");
             out
         })
         .collect();
     let mut hit: Vec<f64> = times.iter().flatten().copied().collect();
     hit.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    ThresholdPoint {
-        threshold,
-        median_time_to_direct: hit.get(hit.len() / 2).copied().unwrap_or(f64::NAN),
-        missed: times.iter().filter(|t| t.is_none()).count(),
-    }
-}
-
-// ------------------------------------------------------- URI ordering ----
-
-/// Result of one URI-order measurement.
-#[derive(Clone, Debug)]
-pub struct UriOrderPoint {
-    /// The ordering policy.
-    pub order: UriOrder,
-    /// Median seconds to a direct connection (both peers behind one
-    /// non-hairpin NAT — the UFL–UFL configuration).
-    pub median_time_to_direct: f64,
-    /// Trials that never connected.
-    pub missed: usize,
-}
-
-/// The UFL–UFL pathology: both nodes behind one non-hairpin NAT. With
-/// public-first URI ordering the linking protocol burns the full retry
-/// budget (~155 s) on the public mapping before the private address works.
-pub fn uri_order_point(order: UriOrder, trials: u64, seed: u64) -> UriOrderPoint {
-    let times: Vec<Option<f64>> = (0..trials)
-        .into_par_iter()
-        .map(|trial| {
-            let cfg = OverlayConfig {
-                uri_order: order,
-                ..OverlayConfig::default()
-            };
-            let seeds = SeedSplitter::new(seed ^ (trial << 8));
-            let mut sim = Sim::new(seed ^ (trial << 8));
-            let wan = sim.add_domain(DomainSpec::public("wan"));
-            // One shared, non-hairpin NAT for both workstations.
-            let campus = sim.add_domain(DomainSpec::natted("campus", NatConfig::typical()));
-            let mut rng = seeds.rng("addr");
-            let mut bootstrap: Vec<TransportUri> = Vec::new();
-            for i in 0..12u64 {
-                let host = sim.add_host(wan, HostSpec::new(format!("r{i}")));
-                let node = BrunetNode::new(
-                    Address::random(&mut rng),
-                    cfg.clone(),
-                    seeds.seed_for_indexed("r", i),
-                );
-                sim.add_actor_at(
-                    host,
-                    SimTime::from_millis(i * 100),
-                    OverlayHost::new(
-                        node,
-                        PORT,
-                        bootstrap.clone(),
-                        ForwardingCost::router(),
-                        NoApp,
-                    ),
-                );
-                if i == 0 {
-                    bootstrap.push(TransportUri::udp(PhysAddr::new(
-                        sim.world().host_ip(host),
-                        PORT,
-                    )));
-                }
-            }
-            let results = Arc::new(Mutex::new(PingResults::default()));
-            let a_ip = wow_vnet::ip::VirtIp::testbed(2);
-            let b_ip = wow_vnet::ip::VirtIp::testbed(3);
-            let host_a = sim.add_host(campus, HostSpec::new("a"));
-            let host_b = sim.add_host(campus, HostSpec::new("b"));
-            sim.add_actor_at(
-                host_a,
-                SimTime::from_secs(2),
-                control::workstation(
-                    a_ip,
-                    "ablate",
-                    cfg.clone(),
-                    wow_vnet::tcp::TcpConfig::default(),
-                    PORT,
-                    bootstrap.clone(),
-                    seeds.seed_for("a"),
-                    wow::workstation::IdleWorkload,
-                ),
-            );
-            let probe = PingProbe::new(a_ip, 400, results);
-            let b_actor = sim.add_actor_at(
-                host_b,
-                SimTime::from_secs(4),
-                control::workstation(
-                    b_ip,
-                    "ablate",
-                    cfg,
-                    wow_vnet::tcp::TcpConfig::default(),
-                    PORT,
-                    bootstrap,
-                    seeds.seed_for("b"),
-                    probe,
-                ),
-            );
-            let a_addr = wow_vnet::ipop::address_for("ablate", a_ip);
-            let t_start = SimTime::from_secs(4);
-            let found: Arc<Mutex<Option<f64>>> = Arc::new(Mutex::new(None));
-            let mut poll = t_start;
-            let horizon = t_start + SimDuration::from_secs(400);
-            while poll < horizon {
-                poll += SimDuration::from_millis(500);
-                let found = found.clone();
-                sim.schedule(poll, move |sim| {
-                    if found.lock().unwrap().is_some() {
-                        return;
-                    }
-                    let direct = sim.with_actor::<Workstation<PingProbe>, _>(b_actor, |ws, _| {
-                        ws.node().has_direct(a_addr)
-                    });
-                    if direct {
-                        *found.lock().unwrap() =
-                            Some(sim.now().saturating_since(t_start).as_secs_f64());
-                    }
-                });
-            }
-            sim.run_until(horizon);
-            let out = *found.lock().unwrap();
-            out
-        })
-        .collect();
-    let mut hit: Vec<f64> = times.iter().flatten().copied().collect();
-    hit.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    UriOrderPoint {
-        order,
-        median_time_to_direct: hit.get(hit.len() / 2).copied().unwrap_or(f64::NAN),
-        missed: times.iter().filter(|t| t.is_none()).count(),
-    }
+    (
+        hit.get(hit.len() / 2).copied().unwrap_or(f64::NAN),
+        times.iter().filter(|t| t.is_none()).count(),
+    )
 }

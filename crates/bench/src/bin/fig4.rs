@@ -3,8 +3,7 @@
 
 use wow_bench::fig4::{run_scenario, window_drop, window_mean, Fig4Config, Scenario};
 use wow_bench::report::{banner, r1, write_csv, Table};
-use wow_netsim::trace::Tally;
-use wow_overlay::telemetry::Counter;
+use wow_overlay::telemetry::{Counter, TelemetryCounters};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -92,12 +91,6 @@ fn main() {
             }
             h
         };
-        let mut tally = Tally::new();
-        for t in &p.trials {
-            for (c, v) in t.counters.iter() {
-                tally.add(c.name(), v);
-            }
-        }
         write_csv(
             &format!(
                 "fig4_telemetry_{}.csv",
@@ -165,23 +158,27 @@ fn main() {
             mean_over_trials(&|q| QueueWaits::mean_ms(q.downlink_queued, q.downlink_wait_us)),
             mean_over_trials(&|q| QueueWaits::mean_ms(q.cpu_queued, q.cpu_wait_us)),
         );
-        let per_trial = |name: &str| tally.get(name) as f64 / p.trials.len().max(1) as f64;
+        let mut total = TelemetryCounters::new();
+        for t in &p.trials {
+            total.merge(&t.counters);
+        }
+        let per_trial = |c: Counter| total.get(c) as f64 / p.trials.len().max(1) as f64;
         println!(
             "  [telemetry] {}: per trial — drops ttl/relay/decode {:.1}/{:.1}/{:.1}, \
              ctm join/probe/shortcut/far/near {:.1}/{:.1}/{:.1}/{:.1}/{:.1}, \
              link sent/backoff/failed {:.1}/{:.1}/{:.1}",
             scenario.label(),
-            per_trial("dropped_ttl"),
-            per_trial("dropped_relay"),
-            per_trial("dropped_decode"),
-            per_trial("ctm_join"),
-            per_trial("ctm_ring_probe"),
-            per_trial("ctm_shortcut"),
-            per_trial("ctm_far"),
-            per_trial("ctm_near"),
-            per_trial("link_request_sent"),
-            per_trial("link_race_backoff"),
-            per_trial("link_failed"),
+            per_trial(Counter::DroppedTtl),
+            per_trial(Counter::DroppedRelay),
+            per_trial(Counter::DroppedDecode),
+            per_trial(Counter::CtmJoin),
+            per_trial(Counter::CtmRingProbe),
+            per_trial(Counter::CtmShortcut),
+            per_trial(Counter::CtmFar),
+            per_trial(Counter::CtmNear),
+            per_trial(Counter::LinkRequestSent),
+            per_trial(Counter::LinkRaceBackoff),
+            per_trial(Counter::LinkFailed),
         );
         if scenario == Scenario::UflNwu {
             // Fig. 5: the first 50 sequence numbers, drop percentage.

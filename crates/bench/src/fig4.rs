@@ -100,7 +100,7 @@ impl Fig4Config {
         }
     }
 
-    /// A scaled-down configuration for quick runs and criterion benches.
+    /// A scaled-down configuration for `--quick` runs.
     pub fn quick() -> Self {
         Fig4Config {
             trials: 8,

@@ -51,7 +51,7 @@ impl Default for Fig6Config {
 }
 
 impl Fig6Config {
-    /// Criterion-scale: small file, short outage.
+    /// `--quick` scale: small file, short outage.
     pub fn quick() -> Self {
         Fig6Config {
             file_bytes: 40_000_000,

@@ -51,7 +51,7 @@ impl Default for Fig7Config {
 }
 
 impl Fig7Config {
-    /// Criterion scale.
+    /// `--quick` scale.
     pub fn quick() -> Self {
         Fig7Config {
             jobs: 60,

@@ -57,7 +57,7 @@ impl Fig8Config {
         }
     }
 
-    /// Criterion scale.
+    /// `--quick` scale.
     pub fn quick() -> Self {
         Fig8Config {
             jobs: 120,

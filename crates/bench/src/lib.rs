@@ -2,7 +2,7 @@
 //!
 //! One module per table/figure of the paper's evaluation (§V), each
 //! runnable at paper scale via its binary (`cargo run --release -p
-//! wow-bench --bin <name>`) or at reduced scale from the criterion benches.
+//! wow-bench --bin <name>`) or at reduced scale with `--quick`.
 //! See DESIGN.md for the experiment index and EXPERIMENTS.md for measured
 //! vs. paper numbers.
 

@@ -94,7 +94,7 @@ impl Table2Config {
         }
     }
 
-    /// Criterion-scale.
+    /// `--quick` scale.
     pub fn quick() -> Self {
         Table2Config {
             sizes: vec![4_000_000],

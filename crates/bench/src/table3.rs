@@ -43,7 +43,7 @@ impl Default for Table3Config {
 }
 
 impl Table3Config {
-    /// Criterion scale.
+    /// `--quick` scale.
     pub fn quick() -> Self {
         Table3Config {
             scale: 0.05,

@@ -136,77 +136,9 @@ impl Histogram {
     }
 }
 
-/// Named-counter aggregation across nodes and trials.
-///
-/// Protocol layers report structured counters under stable snake_case
-/// names (e.g. `wow_overlay::telemetry`); experiments merge them here to
-/// get per-scenario totals and CSV columns without this crate knowing the
-/// counter set. Insertion order is preserved, so feeding every source in
-/// the same counter order yields stable CSV columns.
-#[derive(Clone, Debug, Default)]
-pub struct Tally {
-    slots: Vec<(&'static str, u64)>,
-}
-
-impl Tally {
-    /// An empty tally.
-    pub fn new() -> Self {
-        Tally::default()
-    }
-
-    /// Add `amount` under `name` (creating the slot on first sight).
-    pub fn add(&mut self, name: &'static str, amount: u64) {
-        match self.slots.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, v)) => *v += amount,
-            None => self.slots.push((name, amount)),
-        }
-    }
-
-    /// Merge every slot of `other` into this tally.
-    pub fn merge(&mut self, other: &Tally) {
-        for &(name, v) in &other.slots {
-            self.add(name, v);
-        }
-    }
-
-    /// The count under `name` (0 if never added).
-    pub fn get(&self, name: &str) -> u64 {
-        self.slots
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Iterate `(name, count)` in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.slots.iter().copied()
-    }
-
-    /// Whether nothing has been added.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn tally_adds_merges_and_keeps_order() {
-        let mut a = Tally::new();
-        a.add("dropped_ttl", 2);
-        a.add("ctm_join", 1);
-        a.add("dropped_ttl", 3);
-        let mut b = Tally::new();
-        b.add("ctm_join", 4);
-        b.merge(&a);
-        assert_eq!(b.get("ctm_join"), 5);
-        assert_eq!(b.get("dropped_ttl"), 5);
-        assert_eq!(b.get("never"), 0);
-        let names: Vec<_> = a.iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["dropped_ttl", "ctm_join"]);
-    }
 
     #[test]
     fn series_collects_in_order() {

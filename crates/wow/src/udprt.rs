@@ -275,9 +275,9 @@ fn narrow(b: &mut Bytes, n: usize) {
 /// bursts arrive through [`SocketTransport::recv_batch`] (`recvmmsg(2)`
 /// straight into pooled buffers, portable `recv_from` fallback).
 ///
-/// Public so the `batch` benchmark can measure the vectored flush against
-/// the per-frame loop on a real socket; embedders normally never touch it
-/// (the runtimes wire it up internally).
+/// Public so the benchmark of record's `udprt` kernels (`wow-perf`) can
+/// time the batched flush and the batched receive on a real socket;
+/// embedders normally never touch it (the runtimes wire it up internally).
 pub struct SocketTransport<'a> {
     socket: &'a UdpSocket,
     pool: Option<&'a mut BufPool>,

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 # (test modules may name their oracles after it).
 echo "==> no retired twin in shipping code"
 if find crates/*/src examples benchmark/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'legacy_bootstrap|set_batching|tick_due|next_hop_scan|peer_by_remote_scan|Backend::Thread|UdpNode::spawn|transit_fast_path:|WOW_SIM_WORKERS|ChurnBenchConfig|LiveConfig'; then exit 1; fi
+# One measurement system: speed is measured by the benchmark of record
+# (benchmark/, wow-perf), so no workspace manifest declares a bench target
+# or a criterion dependency and the vendored criterion stand-in stays gone.
+if grep -nE '^\[\[bench\]\]|^\s*criterion\s*[.=]|^\[[a-z-]*dependencies\.criterion\]' Cargo.toml crates/*/Cargo.toml tests/Cargo.toml; then exit 1; fi
+if [ -e vendor/criterion ]; then echo "vendor/criterion is back"; exit 1; fi
 
 # One simulated-overlay harness: churn, scale, the join storm and compound
 # chaos build their worlds, snapshot the live nodes and wait for repair
