@@ -19,7 +19,9 @@
 //!   resume, IPOP restart, overlay rejoin);
 //! * [`udprt`] — the same overlay over real UDP sockets on loopback;
 //! * [`reactor`] — the high-density live runtime: an epoll event loop
-//!   multiplexing many `udprt` nodes per thread with batched ingress.
+//!   multiplexing many `udprt` nodes per thread with batched ingress; each
+//!   shard's decisions are a socket-free core (`shard`), and every foreign
+//!   call of the live runtime is in one module (`os`).
 
 #![warn(missing_docs)]
 
@@ -27,7 +29,9 @@ pub mod audit;
 pub mod churn;
 pub mod harness;
 pub mod migrate;
+mod os;
 pub mod reactor;
+mod shard;
 pub mod simrt;
 pub mod testbed;
 pub mod udprt;
