@@ -345,11 +345,7 @@ impl BrunetNode {
                 }
             }
         }
-        // Consumed, not forwarded in place: the storage goes back first.
-        // Decode copied out all but an App payload, which still shares it.
-        let frame = Frame::decode(data.clone());
-        sink.reclaim(data);
-        match frame {
+        match Frame::decode(data) {
             Ok(Frame::Link(msg)) => self.on_link_msg(now, src, msg, sink),
             Ok(Frame::Routed(pkt)) => self.route_packet(now, pkt, Some(src), sink),
             Err(_) => {
@@ -374,7 +370,6 @@ impl BrunetNode {
             return Some(data);
         };
         if !self.stats.spend_hop(h.hops, h.ttl, sink) {
-            sink.reclaim(data);
             return None;
         }
         sink.count(Counter::TransitFastPath);

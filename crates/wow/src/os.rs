@@ -168,9 +168,9 @@ pub(crate) use epoll::Poller;
 /// * **`sendmmsg(2)`** — everything else is coalesced into multi-message
 ///   syscalls, one message per frame (mixed sizes/destinations).
 ///
-/// On ingress, `recvmmsg(2)` fills up to [`RECV_BATCH`] pooled buffers per
-/// syscall, the kernel writing each datagram directly into the `Bytes`
-/// storage the driver will own.
+/// On ingress, `recvmmsg(2)` fills up to [`RECV_BATCH`] fixed slots of the
+/// shard's receive arena per syscall; each datagram is then copied out into
+/// a right-sized `Bytes` the driver owns.
 ///
 /// Any frame or run the kernel rejects is retried frame-by-frame through
 /// the portable path, so errors stay attributed per frame and never stall
@@ -187,7 +187,7 @@ pub(crate) mod mmsg {
 
     use wow_netsim::addr::{PhysAddr, PhysIp};
 
-    use crate::udprt::{narrow, to_sock, BufPool, RECV_BATCH, RECV_BUF_CAP};
+    use crate::udprt::{to_sock, BufPool, RECV_BATCH};
 
     const AF_INET: u16 = 2;
     const SOL_UDP: i32 = 17;
@@ -266,11 +266,11 @@ pub(crate) mod mmsg {
     }
 
     /// Pull up to `max.min(RECV_BATCH)` datagrams in one `recvmmsg(2)`,
-    /// the kernel writing each straight into a pooled buffer. All scratch
-    /// is on the stack; the only storage touched is the pool's.
+    /// the kernel writing each into its own slot of `pool`'s arena, and
+    /// copy each out right-sized. All other scratch is on the stack.
     pub fn recv_batch(
         socket: &UdpSocket,
-        pool: Option<&mut BufPool>,
+        pool: &mut BufPool,
         out: &mut Vec<(PhysAddr, Bytes)>,
         max: usize,
         wait: bool,
@@ -279,23 +279,16 @@ pub(crate) mod mmsg {
         if want == 0 {
             return Ok(0);
         }
-        let mut local = BufPool::with_shape(RECV_BUF_CAP, 0);
-        let pool = pool.unwrap_or(&mut local);
-
-        let mut bufs: [Option<Bytes>; RECV_BATCH] = std::array::from_fn(|_| None);
         // SAFETY: SockaddrIn, IoVec and MMsgHdr are plain-old-data repr(C)
         // structs for which all-zero bytes are a valid value.
         let mut addrs: [SockaddrIn; RECV_BATCH] = unsafe { std::mem::zeroed() };
         let mut iovs: [IoVec; RECV_BATCH] = unsafe { std::mem::zeroed() };
         let mut msgs: [MMsgHdr; RECV_BATCH] = unsafe { std::mem::zeroed() };
-        for i in 0..want {
-            let mut b = pool.pop();
-            let storage = b.try_mut().expect("pooled buffer is uniquely owned");
+        for (i, slot) in pool.slots().take(want).enumerate() {
             iovs[i] = IoVec {
-                iov_base: storage.as_mut_ptr() as *mut c_void,
-                iov_len: storage.len(),
+                iov_base: slot.as_mut_ptr() as *mut c_void,
+                iov_len: slot.len(),
             };
-            bufs[i] = Some(b);
             msgs[i].msg_hdr = MsgHdr {
                 msg_name: &mut addrs[i] as *mut SockaddrIn as *mut c_void,
                 msg_namelen: std::mem::size_of::<SockaddrIn>() as u32,
@@ -308,9 +301,8 @@ pub(crate) mod mmsg {
         }
         let flags = if wait { MSG_WAITFORONE } else { MSG_DONTWAIT };
         // SAFETY: msgs[..want] point at live stack scratch (addrs, iovs)
-        // and pool-owned buffer storage, all outliving the call; the Arc
-        // storage behind each `Bytes` is heap-pinned, so moving the
-        // handles around `bufs` never moves the bytes the iovecs target.
+        // and at disjoint slots of the pool's arena, which nothing else
+        // touches until the call returns.
         let ret = unsafe {
             recvmmsg(
                 socket.as_raw_fd(),
@@ -322,44 +314,32 @@ pub(crate) mod mmsg {
         };
         if ret < 0 {
             let err = std::io::Error::last_os_error();
-            for b in bufs.iter_mut().take(want) {
-                pool.reclaim(b.take().expect("primed above"));
-            }
             return match err.kind() {
                 std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => Ok(0),
                 _ => Err(err),
             };
         }
-        let got = ret as usize;
         let mut pushed = 0usize;
-        for (i, b) in bufs.iter_mut().enumerate().take(want) {
-            let b = b.take().expect("primed above");
-            if i >= got {
-                pool.reclaim(b);
-                continue;
-            }
+        for (i, msg) in msgs.iter().enumerate().take(ret as usize) {
             // A truncated datagram exceeded RECV_BUF_CAP — impossible for
             // real UDP/IPv4 payloads, so drop the mangled bytes.
-            if msgs[i].msg_hdr.msg_flags & MSG_TRUNC != 0 {
-                pool.reclaim(b);
+            if msg.msg_hdr.msg_flags & MSG_TRUNC != 0 {
                 continue;
             }
-            let mut frame = b;
-            narrow(&mut frame, msgs[i].msg_len as usize);
             let a = &addrs[i];
             let o = a.sin_addr.to_ne_bytes();
             let src = PhysAddr::new(
                 PhysIp::new(o[0], o[1], o[2], o[3]),
                 u16::from_be(a.sin_port),
             );
-            out.push((src, frame));
+            out.push((src, pool.frame(i, msg.msg_len as usize)));
             pushed += 1;
         }
         Ok(pushed)
     }
 
     /// Flush the whole batch, returning the number of frames the kernel
-    /// refused. The caller drains/recycles the slice afterwards.
+    /// refused. The caller clears the batch afterwards.
     pub fn transmit_frames(socket: &UdpSocket, frames: &[(PhysAddr, Bytes)]) -> u64 {
         let n = frames.len();
         if n == 0 {

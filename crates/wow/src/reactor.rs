@@ -309,8 +309,8 @@ impl Wire for SocketWire {
         SocketTransport::pooled(self.socket(slot), pool).recv_batch(out, max, false)
     }
 
-    fn tx<'a>(&'a mut self, slot: u32, pool: &'a mut BufPool) -> SocketTransport<'a> {
-        SocketTransport::pooled(self.socket(slot), pool)
+    fn tx(&mut self, slot: u32) -> SocketTransport<'_> {
+        SocketTransport::new(self.socket(slot))
     }
 }
 

@@ -9,6 +9,10 @@ cd "$(dirname "$0")/.."
 # (test modules may name their oracles after it).
 echo "==> no retired twin in shipping code"
 if find crates/*/src examples benchmark/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'legacy_bootstrap|set_batching|tick_due|next_hop_scan|peer_by_remote_scan|Backend::Thread|UdpNode::spawn|transit_fast_path:|WOW_SIM_WORKERS|ChurnBenchConfig|LiveConfig'; then exit 1; fi
+# A received datagram is the node's to keep: live ingress hands out
+# right-sized frames, so no receive-buffer hand-back seam (`reclaim`)
+# returns to the overlay kernel.
+if find crates/overlay/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'fn reclaim|\.reclaim\('; then exit 1; fi
 # One measurement system: speed is measured by the benchmark of record
 # (benchmark/, wow-perf), so no workspace manifest declares a bench target
 # or a criterion dependency and the vendored criterion stand-in stays gone.
