@@ -21,14 +21,10 @@ fn main() {
     let cols = run(&cfg);
     let mut t = Table::new(&["configuration", "execution time (s)", "speedup vs node002"]);
     for c in &cols {
-        let sp: &dyn std::fmt::Display = match c.speedup {
-            Some(s) => {
-                let boxed: Box<dyn std::fmt::Display> = Box::new(r1(s));
-                Box::leak(boxed)
-            }
-            None => &"n/a",
-        };
-        t.row(&[&c.label, &r1(c.exec_secs), sp]);
+        let sp = c
+            .speedup
+            .map_or_else(|| "n/a".to_string(), |s| r1(s).to_string());
+        t.row(&[&c.label, &r1(c.exec_secs), &sp]);
     }
     t.print();
     let on = cols

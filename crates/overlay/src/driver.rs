@@ -27,10 +27,11 @@
 //! transport in a single [`Transport::transmit_batch`] call. Emission
 //! order is preserved exactly — batching changes *when* the transport sees
 //! the frames (end of cycle instead of mid-cycle), never their order or
-//! bytes — so runtimes can amortize per-frame costs (syscalls on the UDP
-//! path, context borrows in the simulator) without observable effect. The
-//! differential test holds the driver's transcript to a bare
-//! [`BrunetNode`] emitting frame-at-a-time into the test's own sink.
+//! bytes. The simulator amortizes one context borrow over the burst; the
+//! live UDP path sends each frame with its own `send_to`, since a live
+//! cycle emits about one frame. The differential test holds the driver's
+//! transcript to a bare [`BrunetNode`] emitting frame-at-a-time into the
+//! test's own sink.
 
 use bytes::Bytes;
 
@@ -109,9 +110,9 @@ pub trait Transport {
 
     /// Transmit one event cycle's burst, leaving the batch empty. Returns
     /// the number of frames that could not be handed to the wire. The
-    /// default forwards frame-by-frame, preserving every existing
-    /// transport; runtimes override it to amortize per-frame costs
-    /// (`sendmmsg` on the UDP path, one context borrow in the simulator).
+    /// default forwards frame-by-frame through [`Transport::transmit`],
+    /// which is what the live UDP transport uses; only the simulator
+    /// overrides it, to take one context borrow per cycle.
     fn transmit_batch(&mut self, batch: &mut FrameBatch) -> u64 {
         let mut failed = 0;
         for (to, frame) in batch.drain() {

@@ -9,15 +9,15 @@
 //! ([`crate::shard`]) — one shard for a handful of nodes, several for
 //! thousands.
 //!
-//! Every socket goes through [`SocketTransport`]: batched egress through
-//! the Linux `UDP_SEGMENT` GSO / `sendmmsg(2)` fast paths, and batched
-//! ingress through `recvmmsg(2)` into the fixed slots of the shard's
-//! receive arena, [`BufPool`] (their FFI is [`crate::os`]'s). Each datagram
-//! leaves the arena as a right-sized, uniquely owned `Bytes` the driver
-//! consumes, so the transit fast path can still patch the hop count in
-//! place and forward the same allocation, and a consumed or delivered
-//! frame frees its own storage. Ingress allocates one frame per datagram
-//! and no receive buffer.
+//! Every socket goes through [`SocketTransport`]. Egress is one `send_to`
+//! per frame: a live flush carries about one frame, so there is no burst
+//! to vectorise. Ingress is still batched, through `recvmmsg(2)` into the
+//! fixed slots of the shard's receive arena, [`BufPool`] (its FFI is
+//! [`crate::os`]'s). Each datagram leaves the arena as a right-sized,
+//! uniquely owned `Bytes` the driver consumes, so the transit fast path
+//! can still patch the hop count in place and forward the same
+//! allocation, and a consumed or delivered frame frees its own storage.
+//! Ingress allocates one frame per datagram and no receive buffer.
 //!
 //! The control surface is deliberately small: send an application payload,
 //! observe deliveries/connections via a crossbeam channel, inspect
@@ -34,7 +34,7 @@ use parking_lot::Mutex;
 use wow_netsim::addr::{PhysAddr, PhysIp};
 use wow_overlay::addr::Address;
 use wow_overlay::conn::{ConnSnapshot, ConnType};
-use wow_overlay::driver::{FrameBatch, NodeDriver, NodeEvent, Transport};
+use wow_overlay::driver::{NodeDriver, NodeEvent, Transport};
 use wow_overlay::telemetry::TelemetryCounters;
 use wow_overlay::uri::TransportUri;
 
@@ -180,17 +180,16 @@ thread_local! {
 /// [`Transport`] adapter over one UDP socket, receiving into a shard's
 /// [`BufPool`] or, unpooled, into the calling thread's own arena.
 ///
-/// Outbound bursts flush through the vectored Linux fast paths
-/// (`UDP_SEGMENT` GSO for same-destination same-size runs, `sendmmsg(2)`
-/// for the rest — see [`crate::os::mmsg`]) with a portable per-frame
-/// fallback; send failures are reported to the driver, which counts them
-/// under `Counter::SendFailed` instead of silently swallowing them.
-/// Inbound bursts arrive through [`SocketTransport::recv_batch`]
+/// Egress is one `std` `send_to` per frame on every platform: a flush goes
+/// through [`Transport::transmit_batch`]'s default, frame by frame in
+/// emission order, and each frame the socket refuses is reported to the
+/// driver, which counts it under `Counter::SendFailed` instead of silently
+/// swallowing it. Ingress is batched: [`SocketTransport::recv_batch`]
 /// (`recvmmsg(2)` into the arena's slots, portable `recv_from` fallback),
 /// each datagram copied out right-sized.
 ///
 /// Public so the benchmark of record's `udprt` kernels (`wow-perf`) can
-/// time the batched flush and the batched receive on a real socket;
+/// time the flush and the batched receive on a real socket;
 /// embedders normally never touch it (the runtimes wire it up internally).
 pub struct SocketTransport<'a> {
     socket: &'a UdpSocket,
@@ -281,42 +280,15 @@ impl<'a> SocketTransport<'a> {
             None => UNPOOLED.with_borrow_mut(|pool| f(self.socket, pool)),
         }
     }
-
-    /// Portable batch flush: per-frame `send_to` with error counting.
-    /// (On Linux the vectored path below is used; tests still exercise
-    /// this one to pin the two paths' accounting together.)
-    #[cfg(any(test, not(target_os = "linux")))]
-    fn transmit_batch_fallback(&mut self, batch: &mut FrameBatch) -> u64 {
-        let mut failed = 0;
-        for (to, frame) in batch.drain() {
-            if self.socket.send_to(&frame, to_sock(to)).is_err() {
-                failed += 1;
-            }
-        }
-        failed
-    }
 }
 
 impl Transport for SocketTransport<'_> {
     fn transmit(&mut self, to: PhysAddr, frame: Bytes) -> bool {
         self.socket.send_to(&frame, to_sock(to)).is_ok()
     }
-
-    fn transmit_batch(&mut self, batch: &mut FrameBatch) -> u64 {
-        #[cfg(target_os = "linux")]
-        {
-            let failed = crate::os::mmsg::transmit_frames(self.socket, batch.frames());
-            batch.clear();
-            failed
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            self.transmit_batch_fallback(batch)
-        }
-    }
 }
 
-pub(crate) fn to_sock(addr: PhysAddr) -> SocketAddr {
+fn to_sock(addr: PhysAddr) -> SocketAddr {
     let [a, b, c, d] = addr.ip.octets();
     SocketAddr::V4(SocketAddrV4::new(Ipv4Addr::new(a, b, c, d), addr.port))
 }
@@ -425,15 +397,15 @@ mod tests {
     use wow_netsim::addr::PhysIp;
     use wow_netsim::time::SimTime;
     use wow_overlay::config::OverlayConfig;
+    use wow_overlay::driver::FrameBatch;
     use wow_overlay::node::BrunetNode;
     use wow_overlay::telemetry::Counter;
     use wow_overlay::wire::{Body, Frame, LinkMsg, Packet, RoutedHeader};
 
     /// A frame no UDP socket can send: over the 65,507-byte datagram
-    /// maximum, so `send_to`/`sendmmsg` fail deterministically with
-    /// EMSGSIZE. (std cannot close a borrowed socket out from under the
-    /// transport, so an unsendable frame is the portable stand-in for a
-    /// dead socket.)
+    /// maximum, so `send_to` fails deterministically with EMSGSIZE. (std
+    /// cannot close a borrowed socket out from under the transport, so an
+    /// unsendable frame is the portable stand-in for a dead socket.)
     fn unsendable() -> Bytes {
         Bytes::from(vec![0u8; 70_000])
     }
@@ -470,48 +442,9 @@ mod tests {
     }
 
     #[test]
-    fn vectored_and_fallback_flushes_agree() {
-        let mk = |dst: PhysAddr| {
-            let mut b = FrameBatch::new();
-            for i in 0..5u8 {
-                b.push(dst, Bytes::from(vec![i; 64]));
-            }
-            b.push(dst, unsendable());
-            b.push(dst, Bytes::from_static(b"tail"));
-            b
-        };
-        let drain = |recv: &UdpSocket, n: usize| -> Vec<Vec<u8>> {
-            let mut buf = [0u8; 2048];
-            (0..n)
-                .map(|_| {
-                    let (len, _) = recv.recv_from(&mut buf).expect("delivery");
-                    buf[..len].to_vec()
-                })
-                .collect()
-        };
-        let (send_a, recv_a, dst_a) = pair();
-        let mut ta = SocketTransport::new(&send_a);
-        let failed_vectored = ta.transmit_batch(&mut mk(dst_a));
-        let got_vectored = drain(&recv_a, 6);
-
-        let (send_b, recv_b, dst_b) = pair();
-        let mut tb = SocketTransport::new(&send_b);
-        let failed_fallback = tb.transmit_batch_fallback(&mut mk(dst_b));
-        let got_fallback = drain(&recv_b, 6);
-
-        assert_eq!(failed_vectored, failed_fallback);
-        assert_eq!(
-            got_vectored, got_fallback,
-            "both flush paths deliver the same frames in order"
-        );
-    }
-
-    #[test]
     fn long_uniform_burst_arrives_complete_and_in_order() {
-        // 150 equal-size frames to one destination: on Linux this exercises
-        // the GSO path including chunking past the kernel's 64-segment cap;
-        // elsewhere it exercises the fallback. Either way the receiver must
-        // see one datagram per frame, in emission order.
+        // 150 equal-size frames to one destination: the receiver must see
+        // one datagram per frame, in emission order.
         let (send, recv, dst) = pair();
         let mut transport = SocketTransport::new(&send);
         let mut batch = FrameBatch::new();
@@ -553,7 +486,7 @@ mod tests {
     fn batched_and_fallback_ingress_agree() {
         // The same burst through the recvmmsg path and the portable
         // recv_from fallback must produce identical (source, frame)
-        // sequences — the ingress mirror of the egress-path pin above.
+        // sequences.
         let payloads: Vec<Vec<u8>> = (0..9u8).map(|i| vec![i; 50 + i as usize]).collect();
         let run = |batched: bool| -> Vec<(PhysAddr, Vec<u8>)> {
             let (send, recv, dst) = pair();

@@ -28,6 +28,13 @@ shipping() { find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { next
 if shipping | grep -F 'audit_ring(' | grep -vE '^crates/wow/src/(audit|harness)\.rs:'; then exit 1; fi
 if shipping | grep -F 'seed_connection(' | grep -vE '^crates/(overlay/src/node|wow/src/harness)\.rs:'; then exit 1; fi
 
+# One egress path: a live flush carries about one frame, so every frame is
+# one std send_to and the vectored egress FFI (sendmmsg, UDP_SEGMENT GSO)
+# stays deleted. Only crates/*/src is scanned: the frozen benchmark's
+# workload descriptions still name sendmmsg.
+echo "==> no vectored egress in shipping code"
+if shipping | grep -E 'sendmmsg|UDP_SEGMENT|transmit_frames|send_gso'; then exit 1; fi
+
 # One rule set per host: parallel lanes reach host columns only through the
 # host handle, so the simulator keeps exactly four `unsafe` sites (DESIGN.md
 # "Parallel event core" lists them). A fifth is a design change, not a
@@ -40,15 +47,15 @@ if [ "$sites" -gt 4 ]; then
     exit 1
 fi
 
-# One home for foreign calls: every unsafe site of the live runtime (epoll,
-# recvmmsg/sendmmsg/GSO) sits in crates/wow/src/os.rs, so the shard core
+# One home for foreign calls: every unsafe site of the live runtime (epoll
+# and recvmmsg ingress) sits in crates/wow/src/os.rs, so the shard core
 # and the rest of the crate stay safe code that Miri can run. An unsafe
-# site elsewhere, or a thirteenth one there, is a design change.
-echo "==> unsafe in crates/wow/src only in os.rs, at most 12 sites"
+# site elsewhere, or a ninth one there, is a design change.
+echo "==> unsafe in crates/wow/src only in os.rs, at most 8 sites"
 if grep -rnw unsafe crates/wow/src | grep -vE '^[^:]+:[0-9]+:\s*//' | grep -v '^crates/wow/src/os\.rs:'; then exit 1; fi
 sites=$(grep -hw unsafe crates/wow/src/os.rs | grep -cvE '^\s*//' || true)
-if [ "$sites" -gt 12 ]; then
-    echo "crates/wow/src/os.rs has $sites unsafe sites (max 12):"
+if [ "$sites" -gt 8 ]; then
+    echo "crates/wow/src/os.rs has $sites unsafe sites (max 8):"
     grep -nw unsafe crates/wow/src/os.rs | grep -vE ':\s*//'
     exit 1
 fi
