@@ -5,7 +5,9 @@
 //! deadline" is the minimum and "what is due" is a prefix — a tick costs
 //! what is due, not what is tracked.
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
+use std::ops::{Deref, DerefMut};
 
 use wow_netsim::time::SimTime;
 
@@ -68,8 +70,8 @@ impl DeadlineIndex {
     /// address order — the order the managers process and emit in, whatever
     /// the deadlines were. The caller re-inserts the survivors, so a peer is
     /// handled once per poll even if its new deadline is again `<= now`.
-    pub(crate) fn take_due(&mut self, now: SimTime) -> Vec<Address> {
-        let mut due = Vec::new();
+    pub(crate) fn take_due(&mut self, now: SimTime) -> Due {
+        let mut due = Due(DUE.take());
         while let Some(&Entry { at, peer }) = self.0.first() {
             if at > now {
                 break;
@@ -79,6 +81,41 @@ impl DeadlineIndex {
         }
         due.sort_unstable();
         due
+    }
+}
+
+thread_local! {
+    /// The buffer [`DeadlineIndex::take_due`] lends out: one per thread,
+    /// shared by every node the thread drives, so a steady poll allocates
+    /// nothing and a node holds no scratch of its own.
+    static DUE: Cell<Vec<Address>> = const { Cell::new(Vec::new()) };
+}
+
+/// The peers one poll found due, in ascending address order, in a buffer
+/// on loan from the thread. Dropping it hands the buffer back.
+#[derive(Debug)]
+pub(crate) struct Due(Vec<Address>);
+
+impl Deref for Due {
+    type Target = Vec<Address>;
+
+    fn deref(&self) -> &Vec<Address> {
+        &self.0
+    }
+}
+
+impl DerefMut for Due {
+    fn deref_mut(&mut self) -> &mut Vec<Address> {
+        &mut self.0
+    }
+}
+
+impl Drop for Due {
+    fn drop(&mut self) {
+        let mut buf = std::mem::take(&mut self.0);
+        buf.clear();
+        // During thread teardown the buffer is simply freed.
+        let _ = DUE.try_with(|slot| slot.set(buf));
     }
 }
 
@@ -115,9 +152,9 @@ mod tests {
         idx.insert(at(2), a(4));
         idx.insert(at(9), a(2));
         assert_eq!(idx.next(), Some(at(1)));
-        assert_eq!(idx.take_due(at(0)), vec![]);
+        assert_eq!(*idx.take_due(at(0)), vec![]);
         // Due at 1, 2 and 3 s — returned by address, not by deadline.
-        assert_eq!(idx.take_due(at(3)), vec![a(1), a(4), a(7)]);
+        assert_eq!(*idx.take_due(at(3)), vec![a(1), a(4), a(7)]);
         assert_eq!(idx.next(), Some(at(9)));
         idx.reschedule(a(2), at(9), at(5));
         assert!(idx.contains(at(5), a(2)) && idx.len() == 1);

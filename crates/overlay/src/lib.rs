@@ -64,6 +64,7 @@ pub mod linking;
 pub mod node;
 pub mod overlord;
 pub mod ping;
+mod table;
 pub mod telemetry;
 pub mod uri;
 pub mod wire;

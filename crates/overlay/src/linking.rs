@@ -23,8 +23,11 @@
 //! runtimes arm their wake-up from it — and [`LinkingManager::poll`] visits
 //! only attempts with `deadline <= now`, in ascending [`Address`] order,
 //! emitting every [`LinkCmd::Failed`] after every [`LinkCmd::SendRequest`].
-
-use std::collections::HashMap;
+//!
+//! The attempts sit in an ordered table (`crate::table`) that releases its
+//! buffer when the last attempt ends, so the typical node — one that
+//! linked long ago — holds no attempt buffer, and a poll borrows its due
+//! list from the thread instead of allocating one.
 
 use rand::Rng;
 use wow_netsim::addr::PhysAddr;
@@ -34,6 +37,7 @@ use crate::addr::Address;
 use crate::config::OverlayConfig;
 use crate::conn::ConnType;
 use crate::deadline::DeadlineIndex;
+use crate::table::Table;
 use crate::uri::TransportUri;
 
 /// What the node should do as a result of linking progress.
@@ -109,7 +113,7 @@ impl Attempt {
 /// Manager of all in-flight linking attempts of one node.
 #[derive(Debug, Default)]
 pub struct LinkingManager {
-    attempts: HashMap<Address, Attempt>,
+    attempts: Table<Address, Attempt>,
     /// One entry per entry of `attempts`, at that attempt's deadline.
     queue: DeadlineIndex,
     next_attempt_id: u64,
@@ -123,14 +127,14 @@ impl LinkingManager {
 
     /// Whether an attempt to `peer` exists at all.
     pub fn has_attempt(&self, peer: Address) -> bool {
-        self.attempts.contains_key(&peer)
+        self.attempts.contains_key(peer)
     }
 
     /// Whether an *active* (not backed-off) attempt to `peer` exists —
     /// the condition under which an incoming request is answered `InRace`.
     pub fn has_active_attempt(&self, peer: Address) -> bool {
         self.attempts
-            .get(&peer)
+            .get(peer)
             .is_some_and(|a| a.state == AttemptState::Active)
     }
 
@@ -140,7 +144,7 @@ impl LinkingManager {
     /// broken (e.g. we are cone-NAT'd trying to reach a symmetric-NAT'd
     /// node); the race rule should yield rather than deadlock the join.
     pub fn unanswered_sends(&self, peer: Address) -> u32 {
-        self.attempts.get(&peer).map_or(0, |a| a.unanswered_sends)
+        self.attempts.get(peer).map_or(0, |a| a.unanswered_sends)
     }
 
     /// Number of attempts in flight.
@@ -169,7 +173,7 @@ impl LinkingManager {
         uris: Vec<TransportUri>,
         retries: Option<u32>,
     ) {
-        if uris.is_empty() || self.attempts.contains_key(&peer) {
+        if uris.is_empty() || self.attempts.contains_key(peer) {
             return;
         }
         let attempt_id = self.next_attempt_id;
@@ -197,7 +201,7 @@ impl LinkingManager {
 
     /// Drop the attempt to `peer` and its index entry.
     fn remove(&mut self, peer: Address) -> Option<Attempt> {
-        let a = self.attempts.remove(&peer)?;
+        let a = self.attempts.remove(peer)?;
         self.queue.remove(a.deadline(), peer);
         debug_assert_eq!(self.queue.len(), self.attempts.len());
         Some(a)
@@ -227,18 +231,19 @@ impl LinkingManager {
             && self
                 .attempts
                 .iter()
-                .all(|(&peer, a)| self.queue.contains(a.deadline(), peer))
+                .all(|(peer, a)| self.queue.contains(a.deadline(), peer))
     }
 
     /// Drive timers: emit (re)transmissions, advance URIs, abandon attempts.
     pub fn poll(&mut self, now: SimTime, cfg: &OverlayConfig, out: &mut Vec<LinkCmd>) {
-        let mut failed = Vec::new();
-        // Address order keeps the emitted sequence independent of hash
-        // state and of deadline ties.
-        'attempts: for key in self.queue.take_due(now) {
+        // Address order keeps the emitted sequence independent of deadline
+        // ties. The due list keeps only the exhausted attempts, which are
+        // reported after every request.
+        let mut due = self.queue.take_due(now);
+        due.retain(|&key| {
             let a = self
                 .attempts
-                .get_mut(&key)
+                .get_mut(key)
                 .expect("indexed attempt exists (index invariant)");
             if let AttemptState::BackedOff { .. } = a.state {
                 // The stand-down is over: restart from the first URI.
@@ -255,12 +260,7 @@ impl LinkingManager {
                     a.tries_on_uri = 0;
                     a.cur_rto = SimDuration::ZERO;
                     if a.uri_idx >= a.uris.len() {
-                        failed.push(LinkCmd::Failed {
-                            peer: a.peer,
-                            ctype: a.ctype,
-                        });
-                        self.attempts.remove(&key);
-                        continue 'attempts;
+                        return true;
                     }
                 }
                 let uri = a.uris[a.uri_idx];
@@ -280,14 +280,21 @@ impl LinkingManager {
                 a.next_send = now + a.cur_rto;
             }
             self.queue.insert(a.deadline(), key);
+            false
+        });
+        for &peer in due.iter() {
+            let a = self.attempts.remove(peer).expect("exhausted attempt");
+            out.push(LinkCmd::Failed {
+                peer,
+                ctype: a.ctype,
+            });
         }
-        out.extend(failed);
         debug_assert_eq!(self.queue.len(), self.attempts.len());
     }
 
     /// A `LinkReply` arrived from `from` (at underlay address `via`).
     pub fn on_reply(&mut self, from: Address, attempt: u64, via: PhysAddr, out: &mut Vec<LinkCmd>) {
-        let Some(a) = self.attempts.get(&from) else {
+        let Some(a) = self.attempts.get(from) else {
             return; // stale or duplicate
         };
         if a.attempt_id != attempt {
@@ -313,7 +320,7 @@ impl LinkingManager {
         cfg: &OverlayConfig,
         rng: &mut impl Rng,
     ) {
-        let Some(a) = self.attempts.get_mut(&from) else {
+        let Some(a) = self.attempts.get_mut(from) else {
             return;
         };
         if a.attempt_id != attempt {
@@ -359,8 +366,8 @@ impl LinkingManager {
             // A backed-off attempt keeps its stand-down deadline.
             let (peer, deadline) = (a.peer, a.deadline());
             self.queue.reschedule(peer, was, deadline);
-            debug_assert_eq!(self.queue.len(), self.attempts.len());
         }
+        debug_assert_eq!(self.queue.len(), self.attempts.len());
     }
 }
 

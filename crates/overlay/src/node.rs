@@ -637,7 +637,7 @@ impl BrunetNode {
     /// Count one tunnelled packet to/from `peer` and ask for a shortcut
     /// when the score rule fires.
     fn observe_traffic<S: NodeSink + ?Sized>(&mut self, now: SimTime, peer: Address, sink: &mut S) {
-        if !self.shortcut.on_traffic(now, peer, &self.cfg) {
+        if !self.shortcut.observe(now, peer, &self.conns, &self.cfg) {
             return;
         }
         sink.count(Counter::ShortcutCross);
@@ -1287,6 +1287,82 @@ mod tests {
                 Frame::Routed(p) if matches!(&p.body, Body::CtmRequest { ctype: ConnType::Shortcut, .. }))));
         }
         assert_eq!(sk.counters.get(Counter::CtmShortcut), 0);
+    }
+
+    /// A node started with shortcuts off.
+    fn started_without_shortcuts() -> (BrunetNode, TestSink) {
+        let cfg = OverlayConfig::default().without_shortcuts();
+        let mut n = BrunetNode::new(a(100), cfg, 7);
+        let mut sk = TestSink::new();
+        n.start(T0, uri(1, 4000), Vec::new(), &mut sk);
+        (n, sk)
+    }
+
+    #[test]
+    fn a_node_without_shortcuts_keeps_no_traffic_scores() {
+        let (mut n, mut sk) = started_without_shortcuts();
+        n.record_conn(T0, a(5000), ConnType::StructuredNear, ep(50, 1), &mut sk);
+        // Tunnelled traffic both ways with 64 peers, at 10 packets a second
+        // each: enough to cross any finite threshold.
+        for i in 0..640u64 {
+            let t = T0 + SimDuration::from_millis(i * 100 / 64);
+            let peer = a(10_000 + i % 64);
+            n.send_app(t, peer, 1, Bytes::from_static(b"out"), &mut sk);
+            let inbound = Packet {
+                src: peer,
+                dst: a(100),
+                hops: 1,
+                ttl: 64,
+                edge_forwarded: false,
+                body: Body::App {
+                    proto: 1,
+                    data: Bytes::from_static(b"in"),
+                },
+            };
+            n.on_datagram(t, ep(50, 1), Frame::Routed(inbound).encode(), &mut sk);
+            assert_eq!(n.shortcut.score(peer, t), 0.0);
+        }
+        assert_eq!(n.stats().delivered, 640);
+        assert_eq!(
+            format!("{:?}", n.shortcut),
+            format!("{:?}", ShortcutOverlord::new()),
+            "no per-peer traffic state"
+        );
+    }
+
+    #[test]
+    fn a_shortcut_role_on_a_node_without_shortcuts_idles_out_after_its_traffic() {
+        // A scoring peer asked for the role; this node answered with it.
+        let (mut n, mut sk) = started_without_shortcuts();
+        let peer = a(70_000);
+        n.record_conn(T0, peer, ConnType::Shortcut, ep(70, 1), &mut sk);
+        let holds = |n: &BrunetNode| {
+            n.conns
+                .get(peer)
+                .is_some_and(|c| c.types.contains(ConnType::Shortcut))
+        };
+        // A packet every 10 s for 300 s, keepalives answered throughout.
+        let last_packet = SimTime::from_secs(300);
+        let mut released = None;
+        for s in 1..=600 {
+            let t = SimTime::from_secs(s);
+            if t <= last_packet && s % 10 == 0 {
+                n.send_app(t, peer, 1, Bytes::from_static(b"data"), &mut sk);
+            }
+            n.pinger.heard(peer, t, &n.cfg);
+            n.on_tick(t, &mut sk);
+            sk.clear();
+            if !holds(&n) {
+                released = Some(t);
+                break;
+            }
+        }
+        let t = released.expect("an idle shortcut is released");
+        let (earliest, latest) = (SimTime::from_secs(420), SimTime::from_secs(422));
+        assert!(
+            t >= earliest && t <= latest,
+            "released at {t}, the last packet at {last_packet}"
+        );
     }
 
     /// The tokens of every CTM request among `frames`.

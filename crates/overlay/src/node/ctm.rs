@@ -13,8 +13,10 @@
 //! edge across two interleaved rings); every 4th probe enters through a
 //! cached introducer instead, the only way into the other ring once a long
 //! partition heals.
-
-use std::collections::HashMap;
+//!
+//! Pending requests are an ordered table keyed by token (`crate::table`).
+//! Tokens only grow, so a request appends, and a node with nothing in
+//! flight holds no buffer for them.
 
 use wow_netsim::addr::PhysAddr;
 use wow_netsim::time::{SimDuration, SimTime};
@@ -23,6 +25,7 @@ use super::BrunetNode;
 use crate::addr::Address;
 use crate::conn::{ConnTable, ConnType};
 use crate::driver::NodeSink;
+use crate::table::Table;
 use crate::telemetry::Counter;
 use crate::wire::{Body, Frame, Packet};
 
@@ -39,7 +42,7 @@ struct Pending {
 /// The requester side: tokens, requests awaiting replies, probe rotation.
 #[derive(Debug, Default)]
 pub(super) struct Ctm {
-    pending: HashMap<u64, Pending>,
+    pending: Table<u64, Pending>,
     /// The last token issued; tokens start at 1.
     last_token: u64,
     probe_rounds: u64,
@@ -69,7 +72,7 @@ impl Ctm {
 
     /// The role a reply with this token answers; `None` when stale.
     pub(super) fn answered(&self, token: u64) -> Option<ConnType> {
-        self.pending.get(&token).map(|p| p.ctype)
+        self.pending.get(token).map(|p| p.ctype)
     }
 
     /// Whether a request toward `target` still waits for its reply.

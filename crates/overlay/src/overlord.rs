@@ -13,14 +13,15 @@
 //! * [`ShortcutOverlord`] — the paper's contribution: watches tunnelled
 //!   traffic per destination with the queueing score
 //!   `s_{i+1} = max(s_i + a_i − c, 0)` and asks for a direct connection when
-//!   the score crosses a threshold; releases shortcuts that go idle.
+//!   the score crosses a threshold; releases shortcuts that go idle. A node
+//!   whose threshold no score can reach (shortcuts disabled) keeps no
+//!   scores, only the idle clocks of `Shortcut` roles peers gave it; the
+//!   per-peer record is one entry of an ordered table (`crate::table`).
 //!
 //! Overlords are pure deciders: they read the connection table and emit
 //! [`OverlordCmd`]s, which the node executes once the whole round is
 //! decided. That order is part of the behaviour: the far census reads the
 //! table before the near overlord's trims run.
-
-use std::collections::HashMap;
 
 use rand::Rng;
 
@@ -29,6 +30,7 @@ use wow_netsim::time::{SimDuration, SimTime};
 use crate::addr::{sample_far_target, Address};
 use crate::config::OverlayConfig;
 use crate::conn::{ConnTable, ConnType};
+use crate::table::Table;
 
 /// An action requested by an overlord.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -283,10 +285,18 @@ impl FarOverlord {
 
 // ------------------------------------------------------------ shortcut ----
 
+/// What the shortcut overlord knows of one peer's tunnelled traffic.
 #[derive(Clone, Copy, Debug)]
-struct ScoreEntry {
+struct Traffic {
+    /// The queueing score as of `last_seen`; 0 on a node that cannot score.
     score: f64,
-    last_update: SimTime,
+    /// The last tunnelled packet to or from the peer.
+    last_seen: SimTime,
+    /// Whether `last_seen` runs a `Shortcut` role's idle clock. The first
+    /// poll that finds the peer quiet for [`SHORTCUT_IDLE_TIMEOUT`] stops
+    /// it; a role then counts from its connection's establishment, while
+    /// an undrained score is kept for the next burst.
+    clock: bool,
 }
 
 /// Shortcut score added per observed packet (the paper's `a_i` weight).
@@ -297,11 +307,16 @@ const SHORTCUT_SERVICE_RATE: f64 = 1.5;
 const SHORTCUT_IDLE_TIMEOUT: SimDuration = SimDuration::from_secs(120);
 
 /// Traffic-driven shortcut creation (§IV-E).
+///
+/// A node whose `shortcut_threshold` no score can reach (the paper's
+/// "shortcuts disabled" baseline, [`OverlayConfig::without_shortcuts`])
+/// keeps no scores: [`ShortcutOverlord::observe`] records only the idle
+/// clock of a `Shortcut` role the node holds anyway, because it answers a
+/// scoring peer's CTM with the role that peer asked for.
 #[derive(Debug, Default)]
 pub struct ShortcutOverlord {
-    scores: HashMap<Address, ScoreEntry>,
-    /// Last time we observed traffic per shortcut peer (for idle release).
-    last_traffic: HashMap<Address, SimTime>,
+    /// Per peer: kept while its score drains or its idle clock runs.
+    traffic: Table<Address, Traffic>,
 }
 
 impl ShortcutOverlord {
@@ -312,39 +327,68 @@ impl ShortcutOverlord {
 
     /// Current score for a destination (after decay to `now`).
     pub fn score(&self, peer: Address, now: SimTime) -> f64 {
-        self.scores
-            .get(&peer)
+        self.traffic
+            .get(peer)
             .map(|e| {
-                let dt = now.saturating_since(e.last_update).as_secs_f64();
+                let dt = now.saturating_since(e.last_seen).as_secs_f64();
                 (e.score - SHORTCUT_SERVICE_RATE * dt).max(0.0)
             })
             .unwrap_or(0.0)
     }
 
-    /// Observe one tunnelled packet to/from `peer`. Returns `true` when the
-    /// score has crossed the threshold and a shortcut should be requested
-    /// (the caller checks connection state and the shortcut cap).
-    pub fn on_traffic(&mut self, now: SimTime, peer: Address, cfg: &OverlayConfig) -> bool {
-        let e = self.scores.entry(peer).or_insert(ScoreEntry {
+    /// The record of `peer`, created at `now`, with its idle clock running.
+    fn heard(&mut self, now: SimTime, peer: Address) -> &mut Traffic {
+        let e = self.traffic.get_or_insert_with(peer, || Traffic {
             score: 0.0,
-            last_update: now,
+            last_seen: now,
+            clock: true,
         });
+        e.clock = true;
+        e
+    }
+
+    /// Score one tunnelled packet to/from `peer`: `true` when the score has
+    /// crossed the threshold.
+    fn on_traffic(&mut self, now: SimTime, peer: Address, cfg: &OverlayConfig) -> bool {
+        let e = self.heard(now, peer);
         // The paper's virtual work queue: drain at rate c, add the arrival.
-        let dt = now.saturating_since(e.last_update).as_secs_f64();
+        let dt = now.saturating_since(e.last_seen).as_secs_f64();
         e.score = (e.score - SHORTCUT_SERVICE_RATE * dt).max(0.0) + SHORTCUT_ARRIVAL_WEIGHT;
-        e.last_update = now;
-        self.last_traffic.insert(peer, now);
+        e.last_seen = now;
         e.score >= cfg.shortcut_threshold
+    }
+
+    /// Observe one tunnelled packet to/from `peer`. Returns `true` when its
+    /// score has crossed the threshold and a shortcut should be requested
+    /// (the caller checks connection state and the shortcut cap). Where no
+    /// score can reach the threshold nothing is scored: the packet only
+    /// runs the idle clock of a `Shortcut` role `conns` holds for `peer`.
+    pub fn observe(
+        &mut self,
+        now: SimTime,
+        peer: Address,
+        conns: &ConnTable,
+        cfg: &OverlayConfig,
+    ) -> bool {
+        if cfg.shortcut_threshold < f64::INFINITY {
+            return self.on_traffic(now, peer, cfg);
+        }
+        if conns
+            .get(peer)
+            .is_some_and(|c| c.types.contains(ConnType::Shortcut))
+        {
+            self.heard(now, peer).last_seen = now;
+        }
+        false
     }
 
     /// Periodic housekeeping: release idle shortcuts, forget stale scores.
     pub fn poll(&mut self, now: SimTime, conns: &ConnTable, out: &mut Vec<OverlordCmd>) {
         for c in conns.with_type(ConnType::Shortcut) {
-            let last = self
-                .last_traffic
-                .get(&c.peer)
-                .copied()
-                .unwrap_or(c.established_at);
+            let last = match self.traffic.get(c.peer) {
+                Some(e) if e.clock => e.last_seen,
+                _ => c.established_at,
+            };
             if now.saturating_since(last) >= SHORTCUT_IDLE_TIMEOUT {
                 out.push(OverlordCmd::DropRole {
                     peer: c.peer,
@@ -352,24 +396,21 @@ impl ShortcutOverlord {
                 });
             }
         }
-        // Forget score entries that have fully drained and gone quiet;
-        // keeps the table bounded by the node's active working set.
-        let horizon = SHORTCUT_IDLE_TIMEOUT;
-        self.scores.retain(|_peer, e| {
-            let quiet = now.saturating_since(e.last_update) >= horizon;
-            let drained = (e.score
-                - SHORTCUT_SERVICE_RATE * now.saturating_since(e.last_update).as_secs_f64())
-                <= 0.0;
+        // Stop the idle clocks of quiet peers, and forget those whose score
+        // has also drained; keeps the table bounded by the node's active
+        // working set.
+        self.traffic.retain(|_, e| {
+            let silent = now.saturating_since(e.last_seen);
+            let drained = e.score - SHORTCUT_SERVICE_RATE * silent.as_secs_f64() <= 0.0;
+            let quiet = silent >= SHORTCUT_IDLE_TIMEOUT;
+            e.clock &= !quiet;
             !(quiet && drained)
         });
-        self.last_traffic
-            .retain(|_, &mut t| now.saturating_since(t) < horizon);
     }
 
     /// Drop all state (node restart).
     pub fn clear(&mut self) {
-        self.scores.clear();
-        self.last_traffic.clear();
+        self.traffic.clear();
     }
 }
 
@@ -800,7 +841,6 @@ mod tests {
         let conns = ConnTable::new();
         let mut out = Vec::new();
         sc.poll(T0 + SimDuration::from_secs(300), &conns, &mut out);
-        assert_eq!(sc.scores.len(), 0);
-        assert_eq!(sc.last_traffic.len(), 0);
+        assert_eq!(sc.traffic.len(), 0);
     }
 }

@@ -24,15 +24,19 @@
 //! * Invariant: the index holds `(deadline, peer)` for each tracked peer
 //!   and nothing else. Every method that moves a deadline moves the index
 //!   entry with it.
-
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+//!
+//! The per-peer state is an ordered table (`crate::table`): it costs what
+//! the node tracks and nothing once it tracks no one, and it iterates in
+//! address order by construction. The due list a poll walks is a buffer
+//! on loan from the thread (`crate::deadline`), so a poll allocates
+//! nothing of its own.
 
 use wow_netsim::time::{SimDuration, SimTime};
 
 use crate::addr::Address;
 use crate::config::OverlayConfig;
 use crate::deadline::DeadlineIndex;
+use crate::table::Table;
 
 /// Output of the ping manager.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,7 +77,7 @@ struct Peer {
 /// Keepalive state for all connections of one node.
 #[derive(Debug, Default)]
 pub struct PingManager {
-    peers: HashMap<Address, Peer>,
+    peers: Table<Address, Peer>,
     /// One entry per entry of `peers`, at that peer's deadline.
     queue: DeadlineIndex,
     next_nonce: u64,
@@ -87,12 +91,10 @@ impl PingManager {
 
     /// Start tracking a connection.
     pub fn track(&mut self, peer: Address, now: SimTime, cfg: &OverlayConfig) {
-        if let Entry::Vacant(slot) = self.peers.entry(peer) {
+        if !self.peers.contains_key(peer) {
             let deadline = now + cfg.ping_interval;
-            slot.insert(Peer {
-                deadline,
-                probe: Probe::Idle,
-            });
+            let probe = Probe::Idle;
+            self.peers.insert(peer, Peer { deadline, probe });
             self.queue.insert(deadline, peer);
         }
         debug_assert_eq!(self.queue.len(), self.peers.len());
@@ -100,7 +102,7 @@ impl PingManager {
 
     /// Stop tracking (connection removed for any reason).
     pub fn untrack(&mut self, peer: Address) {
-        if let Some(p) = self.peers.remove(&peer) {
+        if let Some(p) = self.peers.remove(peer) {
             self.queue.remove(p.deadline, peer);
         }
         debug_assert_eq!(self.queue.len(), self.peers.len());
@@ -118,7 +120,7 @@ impl PingManager {
 
     /// Any traffic from the peer proves liveness; push the next ping out.
     pub fn heard(&mut self, peer: Address, now: SimTime, cfg: &OverlayConfig) {
-        let Some(p) = self.peers.get_mut(&peer) else {
+        let Some(p) = self.peers.get_mut(peer) else {
             return;
         };
         p.probe = Probe::Idle;
@@ -136,7 +138,7 @@ impl PingManager {
         now: SimTime,
         cfg: &OverlayConfig,
     ) -> bool {
-        match self.peers.get(&peer) {
+        match self.peers.get(peer) {
             Some(Peer {
                 probe: Probe::Awaiting { nonce: n, .. },
                 ..
@@ -160,17 +162,18 @@ impl PingManager {
             && self
                 .peers
                 .iter()
-                .all(|(&peer, p)| self.queue.contains(p.deadline, peer))
+                .all(|(peer, p)| self.queue.contains(p.deadline, peer))
     }
 
     /// Drive timers.
     pub fn poll(&mut self, now: SimTime, cfg: &OverlayConfig, out: &mut Vec<PingCmd>) {
-        let mut dead = Vec::new();
-        // Address order is the order nonces are allocated in.
-        for peer in self.queue.take_due(now) {
+        // Address order is the order nonces are allocated in. The due list
+        // keeps only the dead, which are reported after every ping.
+        let mut due = self.queue.take_due(now);
+        due.retain(|&peer| {
             let p = self
                 .peers
-                .get_mut(&peer)
+                .get_mut(peer)
                 .expect("indexed peer is tracked (index invariant)");
             match &mut p.probe {
                 Probe::Idle => {
@@ -186,9 +189,8 @@ impl PingManager {
                 }
                 Probe::Awaiting { nonce, rto, tries } => {
                     if *tries >= cfg.ping_retries {
-                        self.peers.remove(&peer);
-                        dead.push(peer);
-                        continue;
+                        self.peers.remove(peer);
+                        return true;
                     }
                     *tries += 1;
                     *rto = rto.saturating_double();
@@ -200,8 +202,9 @@ impl PingManager {
                 }
             }
             self.queue.insert(p.deadline, peer);
-        }
-        out.extend(dead.into_iter().map(|peer| PingCmd::Dead { peer }));
+            false
+        });
+        out.extend(due.iter().map(|&peer| PingCmd::Dead { peer }));
         debug_assert_eq!(self.queue.len(), self.peers.len());
     }
 }

@@ -19,6 +19,13 @@ if find crates/overlay/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile
 if grep -nE '^\[\[bench\]\]|^\s*criterion\s*[.=]|^\[[a-z-]*dependencies\.criterion\]' Cargo.toml crates/*/Cargo.toml tests/Cargo.toml; then exit 1; fi
 if [ -e vendor/criterion ]; then echo "vendor/criterion is back"; exit 1; fi
 
+# Per-node state sized by use: every per-peer map of the protocol kernel
+# is the ordered table in crates/overlay/src/table.rs (sorted keys, no
+# buffer once emptied), so a node's state iterates in address order by
+# construction and no hasher's per-process seed can reach its output.
+echo "==> no HashMap or HashSet in shipping crates/overlay/src"
+if find crates/overlay/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'HashMap|HashSet'; then exit 1; fi
+
 # One simulated-overlay harness: churn, scale, the join storm and compound
 # chaos build their worlds, snapshot the live nodes and wait for repair
 # through crates/wow/src/harness.rs. A private ring seeder or audit loop
