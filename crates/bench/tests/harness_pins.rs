@@ -16,9 +16,9 @@ fn fnv1a(s: &str) -> u64 {
     })
 }
 
-const STORM_DIGEST: u64 = 17_006_517_368_477_071_007;
-const SCALE_CHURN_DIGEST: u64 = 13_903_563_916_142_440_335;
-const SCALE_TRAFFIC_DIGEST: u64 = 1_638_197_428_036_954_380;
+const STORM_DIGEST: u64 = 7_966_842_514_840_291_016;
+const SCALE_CHURN_DIGEST: u64 = 11_571_186_232_911_654_958;
+const SCALE_TRAFFIC_DIGEST: u64 = 9_376_212_105_881_158_773;
 
 #[test]
 fn small_storm_outcome_is_pinned() {

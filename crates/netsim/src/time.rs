@@ -154,6 +154,47 @@ impl Sub for SimDuration {
     }
 }
 
+/// The one wake rule for a deadline timer whose superseded wakes stay
+/// queued: every runtime that schedules a wake per deadline and never
+/// cancels one (the simulator's timer wheel, the live shard's heap, the
+/// vnet stack's tick) asks this whether a wake is the armed one.
+///
+/// [`Alarm::arm`] says when a wake must be (re-)scheduled; [`Alarm::fire`]
+/// says whether the wake that just came in should run, and disarms only
+/// then. The rule is `armed <= now`, never `armed == now`: a runtime may
+/// deliver a wake for a deadline already past at a later instant (the
+/// simulator clamps it to the time it was scheduled), and that wake is
+/// still the armed one.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Alarm {
+    armed: Option<SimTime>,
+}
+
+impl Alarm {
+    /// Given the timer's earliest deadline `next`, the deadline to schedule
+    /// a wake for, if the armed wake does not already cover it: nothing is
+    /// armed, `next` is earlier than the armed deadline, or the armed one
+    /// is already due.
+    pub fn arm(&mut self, next: SimTime, now: SimTime) -> Option<SimTime> {
+        let need = self.armed.is_none_or(|armed| next < armed || armed <= now);
+        if need {
+            self.armed = Some(next);
+        }
+        need.then_some(next)
+    }
+
+    /// A wake came in at `now`: true, and disarmed, only when the armed
+    /// deadline is due. A false wake is stale — a superseded deadline's, or
+    /// one that arrives with nothing armed — and should do nothing.
+    pub fn fire(&mut self, now: SimTime) -> bool {
+        let due = self.armed.is_some_and(|armed| armed <= now);
+        if due {
+            self.armed = None;
+        }
+        due
+    }
+}
+
 impl fmt::Debug for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "t={:.6}s", self.as_secs_f64())
@@ -215,6 +256,60 @@ mod tests {
         let d = SimDuration::from_secs(2).mul_f64(1.5);
         assert_eq!(d, SimDuration::from_secs(3));
         assert_eq!(SimDuration::from_secs(2).mul_f64(0.0), SimDuration::ZERO);
+    }
+
+    fn at(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    #[test]
+    fn an_alarm_fires_the_superseding_deadline_not_the_superseded_one() {
+        let mut a = Alarm::default();
+        assert_eq!(a.arm(at(10), at(0)), Some(at(10)));
+        assert_eq!(a.arm(at(5), at(0)), Some(at(5)));
+        // A later deadline is covered by the armed wake.
+        assert_eq!(a.arm(at(7), at(0)), None);
+        assert!(a.fire(at(5)));
+        assert!(!a.fire(at(10)), "the superseded wake is stale");
+    }
+
+    #[test]
+    fn an_alarm_fires_a_late_wake() {
+        // A deadline already past when armed is delivered at a later
+        // instant; that wake is still the armed one.
+        let mut a = Alarm::default();
+        assert_eq!(a.arm(at(3), at(8)), Some(at(3)));
+        assert!(a.fire(at(8)));
+        assert!(!a.fire(at(8)), "a fire disarms");
+    }
+
+    #[test]
+    fn an_alarm_with_nothing_armed_does_not_fire() {
+        let mut a = Alarm::default();
+        assert!(!a.fire(at(0)));
+        assert!(!a.fire(SimTime::FAR_FUTURE));
+    }
+
+    #[test]
+    fn an_alarm_does_not_fire_early() {
+        let mut a = Alarm::default();
+        a.arm(at(10), at(0));
+        assert!(!a.fire(at(9)));
+        assert!(a.fire(at(10)));
+    }
+
+    #[test]
+    fn an_alarm_rearms_after_a_due_fire() {
+        let mut a = Alarm::default();
+        a.arm(at(5), at(0));
+        assert!(a.fire(at(5)));
+        assert_eq!(a.arm(at(15), at(5)), Some(at(15)));
+        assert!(!a.fire(at(14)));
+        assert!(a.fire(at(15)));
+        // An armed deadline that fell due without its wake being seen yet
+        // is re-armed at the next deadline.
+        a.arm(at(20), at(15));
+        assert_eq!(a.arm(at(30), at(25)), Some(at(30)));
     }
 
     #[test]

@@ -10,12 +10,23 @@
 //! borrow ends, with reusable storage (amortized zero-alloc ping-pong).
 //!
 //! The driver also owns the one timer contract both runtimes schedule
-//! from: after any node activity [`NodeDriver::arm_hint`] says whether a
-//! wake must be (re-)armed and for when; the wake calls
-//! [`NodeDriver::timer_fired`] and then [`NodeDriver::on_tick`]. The
-//! simulator arms simulated timers from it, the reactor a wall-clock
-//! deadline heap. `crates/overlay/tests/driver_differential.rs` pins it to
-//! a 1 ms `next_deadline() <= now` poll loop over one scripted trace.
+//! from. Neither cancels a wake, so a wake whose deadline a re-arm
+//! superseded stays queued and still comes in:
+//!
+//! 1. after any node activity, [`NodeDriver::arm_hint`] says whether a
+//!    wake must be (re-)armed and for when;
+//! 2. a wake at `now` calls [`NodeDriver::timer_fired`]`(now)`, which is
+//!    true, and disarms, only when the armed deadline is due
+//!    ([`Alarm`]'s `armed <= now` rule); a false wake is stale and the
+//!    runtime does nothing more with it;
+//! 3. a true wake calls [`NodeDriver::on_tick`], then re-arms through
+//!    step 1.
+//!
+//! So a node ticks once per deadline however many wakes are queued for
+//! it. The simulator arms simulated timers from it, the reactor a
+//! wall-clock deadline heap. `crates/overlay/tests/driver_differential.rs`
+//! pins it to a 1 ms `next_deadline() <= now` poll loop over one scripted
+//! trace.
 //!
 //! ## The flush boundary
 //!
@@ -36,7 +47,7 @@
 use bytes::Bytes;
 
 use wow_netsim::addr::PhysAddr;
-use wow_netsim::time::SimTime;
+use wow_netsim::time::{Alarm, SimTime};
 
 use crate::addr::Address;
 use crate::conn::ConnType;
@@ -219,7 +230,7 @@ pub struct NodeDriver {
     events: Vec<NodeEvent>,
     spare: Vec<NodeEvent>,
     counters: TelemetryCounters,
-    armed: Option<SimTime>,
+    alarm: Alarm,
     batch: FrameBatch,
 }
 
@@ -231,7 +242,7 @@ impl NodeDriver {
             events: Vec::new(),
             spare: Vec::new(),
             counters: TelemetryCounters::new(),
-            armed: None,
+            alarm: Alarm::default(),
             batch: FrameBatch::new(),
         }
     }
@@ -309,7 +320,9 @@ impl NodeDriver {
         });
     }
 
-    /// Restart after a migration (see [`BrunetNode::restart`]).
+    /// Restart after a migration (see [`BrunetNode::restart`]). The wake
+    /// armed for the old node's deadlines is disarmed: the restarted node
+    /// arms its own through [`NodeDriver::arm_hint`].
     pub fn restart<T: Transport + ?Sized>(
         &mut self,
         now: SimTime,
@@ -317,6 +330,7 @@ impl NodeDriver {
         bootstrap: Vec<TransportUri>,
         transport: &mut T,
     ) {
+        self.alarm = Alarm::default();
         self.cycle(transport, |node, sink| {
             node.restart(now, local_uri, bootstrap, sink)
         });
@@ -401,27 +415,14 @@ impl NodeDriver {
     /// Returns `None` while the currently armed wake still covers the
     /// earliest deadline.
     pub fn arm_hint(&mut self, now: SimTime) -> Option<SimTime> {
-        let deadline = self.next_deadline()?;
-        let need = match self.armed {
-            None => true,
-            Some(armed) => deadline < armed || armed <= now,
-        };
-        if need {
-            self.armed = Some(deadline);
-            Some(deadline)
-        } else {
-            None
-        }
+        self.alarm.arm(self.next_deadline()?, now)
     }
 
-    /// The deadline of the wake currently armed, if any: a runtime that
-    /// keeps superseded wakes queued fires only the entry for this one.
-    pub fn armed(&self) -> Option<SimTime> {
-        self.armed
-    }
-
-    /// The scheduled timer wake fired.
-    pub fn timer_fired(&mut self) {
-        self.armed = None;
+    /// A timer wake came in at `now`: true, and disarmed, only when the
+    /// armed deadline is due — then the caller runs
+    /// [`NodeDriver::on_tick`]. A false wake is one a re-arm superseded,
+    /// and the caller drops it.
+    pub fn timer_fired(&mut self, now: SimTime) -> bool {
+        self.alarm.fire(now)
     }
 }

@@ -291,6 +291,11 @@ impl BrunetNode {
         Some(d)
     }
 
+    /// When the near stabilization and the far census are next due.
+    pub fn census_deadlines(&self) -> (SimTime, SimTime) {
+        (self.near.next_deadline(), self.far.next_deadline())
+    }
+
     /// Install a pre-established connection, bypassing the linking
     /// protocol. Scale harnesses use this to boot very large overlays in a
     /// known topology (a perfect ring plus far links) instead of paying a

@@ -17,7 +17,7 @@
 //! exactly.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 
@@ -377,11 +377,14 @@ fn replay_poll<E: Endpoint>(mut e: E, script: &[ScriptItem]) -> (Transcript, Tel
 }
 
 /// Replay the script under the shipping timer contract: wakes armed at
-/// exact deadlines via `arm_hint`, fired through `timer_fired` + `on_tick`.
+/// exact deadlines via `arm_hint`, never cancelled, and fired through
+/// `timer_fired` + `on_tick` — a wake a re-arm superseded is dropped when
+/// `timer_fired` says so. Asserts that no deadline ticks twice.
 fn replay_armed(cfg: OverlayConfig, script: &[ScriptItem]) -> (Transcript, TelemetryCounters) {
     let mut d = NodeDriver::new(fresh_a(cfg));
     let mut transcript = Transcript::default();
     let mut wakes: BinaryHeap<Reverse<SimTime>> = BinaryHeap::new();
+    let mut fired: BTreeSet<SimTime> = BTreeSet::new();
 
     fn rearm(d: &mut NodeDriver, now: SimTime, wakes: &mut BinaryHeap<Reverse<SimTime>>) {
         if let Some(deadline) = d.arm_hint(now) {
@@ -393,8 +396,14 @@ fn replay_armed(cfg: OverlayConfig, script: &[ScriptItem]) -> (Transcript, Telem
         at: SimTime,
         transcript: &mut Transcript,
         wakes: &mut BinaryHeap<Reverse<SimTime>>,
+        fired: &mut BTreeSet<SimTime>,
     ) {
-        d.timer_fired();
+        if !d.timer_fired(at) {
+            return;
+        }
+        // Wakes come in at their exact deadlines here, so `at` names the
+        // deadline this tick serves: once per armed deadline.
+        assert!(fired.insert(at), "the deadline {at:?} ticked twice");
         d.feed(at, Input::Tick, &mut transcript.frames);
         transcript.stamp(at);
         rearm(d, at, wakes);
@@ -410,7 +419,7 @@ fn replay_armed(cfg: OverlayConfig, script: &[ScriptItem]) -> (Transcript, Telem
         // Wakes strictly before this input fire at their exact deadline.
         while wakes.peek().is_some_and(|Reverse(w)| *w < t) {
             let Reverse(w) = wakes.pop().expect("nonempty");
-            fire(&mut d, w, &mut transcript, &mut wakes);
+            fire(&mut d, w, &mut transcript, &mut wakes, &mut fired);
         }
         d.feed(t, item.input.clone(), &mut transcript.frames);
         transcript.stamp(t);
@@ -419,12 +428,12 @@ fn replay_armed(cfg: OverlayConfig, script: &[ScriptItem]) -> (Transcript, Telem
         // loop's feed-then-tick order within one step.
         while wakes.peek().is_some_and(|Reverse(w)| *w <= t) {
             wakes.pop();
-            fire(&mut d, t, &mut transcript, &mut wakes);
+            fire(&mut d, t, &mut transcript, &mut wakes, &mut fired);
         }
     }
     while wakes.peek().is_some_and(|Reverse(w)| *w <= horizon) {
         let Reverse(w) = wakes.pop().expect("nonempty");
-        fire(&mut d, w, &mut transcript, &mut wakes);
+        fire(&mut d, w, &mut transcript, &mut wakes, &mut fired);
     }
     drain_events(&mut d, &mut transcript.events);
     (transcript, *d.counters())

@@ -11,10 +11,13 @@
 //!   next owner. Every access passes one generation check.
 //! * **timers** — no polling. Each driver exposes its earliest deadline
 //!   through the [`NodeDriver::arm_hint`]/[`NodeDriver::timer_fired`]
-//!   discipline (the same one the simulator runtime trusts); the core keeps
+//!   discipline (the same one the simulator runtime uses); the core keeps
 //!   a min-heap of `(deadline, slot, generation)` wakes, sleeps until the
-//!   earliest one, and lazily drops the entries of nodes that left and the
-//!   entries a re-arm superseded, so a node wakes once per deadline.
+//!   earliest one, and lazily drops the entries of nodes that left (the
+//!   generation check) and the entries a re-arm superseded: a popped entry
+//!   is offered to `timer_fired` at its own deadline, which is true only
+//!   for the entry of the armed deadline, so a node wakes once per
+//!   deadline.
 //! * **ingress** — a ready slot is drained through [`Wire::recv`] (at most
 //!   [`RECV_BATCH`] datagrams per call, through the shard's receive arena,
 //!   [`BufPool`]), at most [`INGRESS_QUANTUM`] datagrams per wake per node.
@@ -258,14 +261,14 @@ impl ShardCore {
             }
             self.timers.pop();
             // Skip an entry a re-arm superseded: the armed deadline has its
-            // own entry.
-            let due = Some(SimTime::from_micros(t));
-            let node = occupant(&mut self.slots, idx, gen);
-            if node.is_none_or(|n| n.driver.armed() != due) {
+            // own entry. The entry is fired at its own deadline, so the
+            // driver's `armed <= now` rule picks exactly that entry.
+            let armed = occupant(&mut self.slots, idx, gen)
+                .is_some_and(|n| n.driver.timer_fired(SimTime::from_micros(t)));
+            if !armed {
                 continue;
             }
             self.cycle(wire, idx, gen, |driver, wire, now| {
-                driver.timer_fired();
                 driver.on_tick(now, &mut wire.tx(idx));
                 now
             });

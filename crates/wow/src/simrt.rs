@@ -215,6 +215,8 @@ pub struct OverlayHost<A: OverlayApp> {
     bootstrap: Vec<TransportUri>,
     cost: ForwardingCost,
     queue: VecDeque<Datagram>,
+    #[cfg(test)]
+    census: tests::TickCensus,
 }
 
 impl<A: OverlayApp> OverlayHost<A> {
@@ -234,6 +236,8 @@ impl<A: OverlayApp> OverlayHost<A> {
             bootstrap,
             cost,
             queue: VecDeque::new(),
+            #[cfg(test)]
+            census: Default::default(),
         }
     }
 
@@ -294,7 +298,6 @@ impl<A: OverlayApp> OverlayHost<A> {
     pub fn restart_node(&mut self, ctx: &mut Ctx<'_>) {
         let local = ctx.bind(self.port);
         self.queue.clear();
-        self.driver.timer_fired();
         let join_state = self.driver.node().join_state();
         let now = ctx.now;
         {
@@ -371,6 +374,8 @@ impl<A: OverlayApp> OverlayHost<A> {
             self.driver.recycle_events(events);
         }
         if let Some(deadline) = self.driver.arm_hint(ctx.now) {
+            #[cfg(test)]
+            self.census.armed.insert(deadline);
             ctx.wake_at(deadline, TAG_TICK);
         }
     }
@@ -418,8 +423,16 @@ impl<A: OverlayApp> Actor for OverlayHost<A> {
     fn on_wake(&mut self, ctx: &mut Ctx<'_>, tag: u64) {
         match tag {
             TAG_TICK => {
-                self.driver.timer_fired();
                 let now = ctx.now;
+                // A wake whose deadline a re-arm superseded stays queued;
+                // the armed deadline has its own.
+                if !self.driver.timer_fired(now) {
+                    return;
+                }
+                #[cfg(test)]
+                {
+                    self.census.ticks += 1;
+                }
                 {
                     let mut t = CtxTransport {
                         ctx: &mut *ctx,
@@ -452,6 +465,78 @@ impl<A: OverlayApp> Actor for OverlayHost<A> {
                 };
                 self.app.on_wake(&mut h, user);
                 self.flush(ctx);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use std::collections::BTreeSet;
+
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    use super::*;
+    use crate::harness::{public_overlay, Overlay};
+
+    /// What a host's protocol tick did: the wakes that reached
+    /// [`NodeDriver::on_tick`], and every deadline a tick wake was armed
+    /// for.
+    #[derive(Default)]
+    pub(crate) struct TickCensus {
+        pub(crate) ticks: u64,
+        pub(crate) armed: BTreeSet<SimTime>,
+    }
+
+    /// A small bootstrapped overlay run past its joins.
+    fn joined_overlay() -> Overlay<NoApp> {
+        let mut net = public_overlay(379_422, 24, 1);
+        net.sim.run_until(SimTime::from_secs(120));
+        net
+    }
+
+    #[test]
+    fn a_simulated_node_wakes_once_per_deadline() {
+        let mut net = joined_overlay();
+        let (mut ticks, mut armed) = (0, 0);
+        for i in 0..net.actors().len() {
+            let (t, a) = net.with(i, |h, _| (h.census.ticks, h.census.armed.len() as u64));
+            // A re-arm to an earlier deadline leaves the superseded wake
+            // queued; it must not tick the node a second time.
+            assert!(
+                t <= a,
+                "node {i} ticked {t} times for {a} distinct armed deadlines"
+            );
+            ticks += t;
+            armed += a;
+        }
+        assert!(ticks > armed / 2, "{ticks} ticks for {armed} deadlines");
+    }
+
+    #[test]
+    fn every_node_keeps_its_census_cadence() {
+        let mut net = joined_overlay();
+        // The ring audit alone passes over a ring whose upkeep stalled.
+        let report = net.audit(64, &mut SmallRng::seed_from_u64(1));
+        assert!(report.passed(), "{:?}", report.violations);
+        let now = net.sim.now();
+        for i in 0..net.actors().len() {
+            let (cfg, (near, far)) = net.with(i, |h, _| {
+                let n = h.node();
+                (n.config().clone(), n.census_deadlines())
+            });
+            // Each census re-schedules itself one interval after it runs,
+            // so one that ran within two intervals fell due no more than
+            // one interval ago.
+            for (what, next, every) in [
+                ("near", near, cfg.stabilize_interval),
+                ("far", far, cfg.far_check_interval),
+            ] {
+                assert!(
+                    now.saturating_since(next) <= every,
+                    "node {i}'s {what} census (every {every}) is due since {next}, {now} now"
+                );
             }
         }
     }

@@ -17,6 +17,7 @@
 use bytes::Bytes;
 
 use wow_netsim::prelude::*;
+use wow_netsim::time::Alarm;
 use wow_overlay::addr::Address;
 use wow_overlay::conn::ConnType;
 use wow_overlay::node::BrunetNode;
@@ -80,9 +81,13 @@ pub struct WsApp<W: Workload> {
     suspended: bool,
     /// Wake tags deferred while suspended, replayed on resume.
     deferred_wakes: Vec<u64>,
-    armed_stack_tick: Option<SimTime>,
+    /// The stack tick's wake rule: a tick a re-arm superseded, or one
+    /// replayed after a resume, stays queued and is skipped when it fires.
+    stack_alarm: Alarm,
     /// The pump's event batch, kept between pumps for its allocation.
     events: Vec<StackEvent>,
+    #[cfg(test)]
+    census: crate::simrt::tests::TickCensus,
 }
 
 /// Stack-tick wake tag (workload tags are odd; see [`WsHandle::wake_after`]).
@@ -103,8 +108,10 @@ impl<W: Workload> WsApp<W> {
             workload,
             suspended: false,
             deferred_wakes: Vec::new(),
-            armed_stack_tick: None,
+            stack_alarm: Alarm::default(),
             events: Vec::new(),
+            #[cfg(test)]
+            census: Default::default(),
         }
     }
 
@@ -165,7 +172,9 @@ impl<W: Workload> WsApp<W> {
     /// Call via [`control::resume`].
     pub(crate) fn resume(&mut self, h: &mut NodeHandle<'_, '_>) {
         self.suspended = false;
-        self.armed_stack_tick = None;
+        // The pump below arms the stack's earliest deadline afresh; a
+        // replayed stack tick runs only if it finds that deadline due.
+        self.stack_alarm = Alarm::default();
         let deferred = std::mem::take(&mut self.deferred_wakes);
         for tag in deferred {
             // Replay immediately; the time that "passed" during suspension
@@ -208,15 +217,15 @@ impl<W: Workload> WsApp<W> {
             }
         }
         // Arm the TCP timer wheel.
-        if let Some(deadline) = self.stack.next_deadline() {
-            let need = match self.armed_stack_tick {
-                Some(armed) => deadline < armed || armed <= h.now(),
-                None => true,
-            };
-            if need {
-                h.ctx.wake_at(deadline, app_wake_tag(TAG_STACK_TICK));
-                self.armed_stack_tick = Some(deadline);
-            }
+        let now = h.now();
+        if let Some(deadline) = self
+            .stack
+            .next_deadline()
+            .and_then(|next| self.stack_alarm.arm(next, now))
+        {
+            #[cfg(test)]
+            self.census.armed.insert(deadline);
+            h.ctx.wake_at(deadline, app_wake_tag(TAG_STACK_TICK));
         }
     }
 }
@@ -253,8 +262,14 @@ impl<W: Workload> OverlayApp for WsApp<W> {
             return;
         }
         if tag == TAG_STACK_TICK {
-            self.armed_stack_tick = None;
             let now = h.now();
+            if !self.stack_alarm.fire(now) {
+                return;
+            }
+            #[cfg(test)]
+            {
+                self.census.ticks += 1;
+            }
             self.stack.on_tick(now);
         } else if tag & 1 == 1 {
             let user = tag >> 1;
@@ -319,5 +334,100 @@ pub mod control {
         sim.with_actor::<Workstation<W>, _>(actor, |ws, ctx| {
             ws.flush_now(ctx);
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use wow_overlay::config::OverlayConfig;
+    use wow_vnet::tcp::TcpConfig;
+
+    use super::*;
+
+    /// A virtual IP no workstation holds: a SYN to it is never answered.
+    const NOBODY: VirtIp = VirtIp::new(172, 31, 0, 99);
+
+    /// Dials [`NOBODY`] at boot and, if `second` is set, again that long
+    /// after boot. Each unanswered SYN keeps the stack's retransmit timer
+    /// armed, its timeout doubling from 1 s on every retransmission.
+    struct Dialer {
+        second: Option<SimDuration>,
+    }
+
+    impl Workload for Dialer {
+        fn on_boot(&mut self, w: &mut WsHandle<'_, '_, '_>) {
+            w.stack.tcp_connect(w.now(), NOBODY, 80);
+            if let Some(after) = self.second {
+                w.wake_after(after, 1);
+            }
+        }
+
+        fn on_wake(&mut self, w: &mut WsHandle<'_, '_, '_>, _tag: u64) {
+            w.stack.tcp_connect(w.now(), NOBODY, 81);
+        }
+    }
+
+    /// A lone workstation running `dialer`, booted at t = 0.
+    fn lone_workstation(dialer: Dialer) -> (Sim, ActorId) {
+        let mut sim = Sim::new(7);
+        let wan = sim.add_domain(DomainSpec::public("wan"));
+        let host = sim.add_host(wan, HostSpec::new("vm"));
+        let ws = control::workstation(
+            VirtIp::testbed(2),
+            "alarm-test",
+            OverlayConfig::default(),
+            TcpConfig::default(),
+            4000,
+            Vec::new(),
+            7,
+            dialer,
+        );
+        let actor = sim.add_actor(host, ws);
+        (sim, actor)
+    }
+
+    /// The stack ticks run so far, and the distinct deadlines a stack tick
+    /// was armed for.
+    fn census(sim: &mut Sim, actor: ActorId) -> (u64, usize) {
+        sim.with_actor::<Workstation<Dialer>, _>(actor, |ws, _| {
+            let c = &ws.app().census;
+            (c.ticks, c.armed.len())
+        })
+    }
+
+    #[test]
+    fn a_superseded_stack_tick_does_not_run() {
+        // Port 80's retransmits fall due at 1, 3, 7 and 15 s. Port 81,
+        // dialled at 4 s, retransmits at 5 s: an earlier deadline than the
+        // armed 7 s, whose wake stays queued.
+        let (mut sim, ws) = lone_workstation(Dialer {
+            second: Some(SimDuration::from_secs(4)),
+        });
+        sim.run_until(SimTime::from_secs(60));
+        let (ticks, armed) = census(&mut sim, ws);
+        assert!(ticks >= 5, "the retransmit timer ran {ticks} times");
+        assert!(
+            ticks <= armed as u64,
+            "{ticks} stack ticks for {armed} distinct deadlines"
+        );
+    }
+
+    #[test]
+    fn a_stack_tick_replayed_on_resume_runs_once() {
+        // Retransmits fall due at 1, 3, 7, 15 and 31 s; the 15 s wake comes
+        // in while the workstation is suspended and is replayed on resume,
+        // beside the wake the resume arms for the overdue deadline.
+        let (mut sim, ws) = lone_workstation(Dialer { second: None });
+        sim.run_until(SimTime::from_secs(10));
+        control::suspend::<Dialer>(&mut sim, ws);
+        sim.run_until(SimTime::from_secs(20));
+        control::resume::<Dialer>(&mut sim, ws);
+        sim.run_until(SimTime::from_secs(120));
+        let (ticks, armed) = census(&mut sim, ws);
+        assert!(ticks >= 5, "the retransmit timer ran {ticks} times");
+        assert!(
+            ticks <= armed as u64,
+            "{ticks} stack ticks for {armed} distinct deadlines"
+        );
     }
 }

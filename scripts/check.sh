@@ -6,13 +6,16 @@ cd "$(dirname "$0")/.."
 
 # One path per seam: a twin that was proven equivalent and deleted, a
 # retired knob, or a retired second harness stays deleted in shipping code
-# (test modules may name their oracles after it).
+# (test modules may name their oracles after it). The wake rule of every
+# deadline timer lives in `wow_netsim::time::Alarm`, so a hand-copied
+# armed-deadline field (`armed_stack_tick`) or a caller comparing a
+# driver's armed deadline itself (`.armed()`) stays gone.
 echo "==> no retired twin in shipping code"
-if find crates/*/src examples benchmark/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'legacy_bootstrap|set_batching|tick_due|next_hop_scan|peer_by_remote_scan|Backend::Thread|UdpNode::spawn|transit_fast_path:|WOW_SIM_WORKERS|ChurnBenchConfig|LiveConfig'; then exit 1; fi
+if find crates/*/src examples benchmark/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'legacy_bootstrap|set_batching|tick_due|next_hop_scan|peer_by_remote_scan|Backend::Thread|UdpNode::spawn|transit_fast_path:|WOW_SIM_WORKERS|ChurnBenchConfig|LiveConfig|armed_stack_tick|\.armed\(\)'; then exit 1; fi
 # A received datagram is the node's to keep: live ingress hands out
 # right-sized frames, so no receive-buffer hand-back seam (`reclaim`)
 # returns to the overlay kernel.
-if find crates/overlay/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'fn reclaim|\.reclaim\('; then exit 1; fi
+if find crates/overlay/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'fn reclaim|\.reclaim\('; then exit 1; fi
 # One measurement system: speed is measured by the benchmark of record
 # (benchmark/, wow-perf), so no workspace manifest declares a bench target
 # or a criterion dependency and the vendored criterion stand-in stays gone.
@@ -24,14 +27,14 @@ if [ -e vendor/criterion ]; then echo "vendor/criterion is back"; exit 1; fi
 # buffer once emptied), so a node's state iterates in address order by
 # construction and no hasher's per-process seed can reach its output.
 echo "==> no HashMap or HashSet in shipping crates/overlay/src"
-if find crates/overlay/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'HashMap|HashSet'; then exit 1; fi
+if find crates/overlay/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} + | grep -E 'HashMap|HashSet'; then exit 1; fi
 
 # One simulated-overlay harness: churn, scale, the join storm and compound
 # chaos build their worlds, snapshot the live nodes and wait for repair
 # through crates/wow/src/harness.rs. A private ring seeder or audit loop
 # elsewhere is a fifth copy coming back.
 echo "==> audit_ring( and seed_connection( only in their homes"
-shipping() { find crates/*/src -name '*.rs' -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} +; }
+shipping() { find crates/*/src -name '*.rs' -exec awk '/^#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ": " $0 }' {} +; }
 if shipping | grep -F 'audit_ring(' | grep -vE '^crates/wow/src/(audit|harness)\.rs:'; then exit 1; fi
 if shipping | grep -F 'seed_connection(' | grep -vE '^crates/(overlay/src/node|wow/src/harness)\.rs:'; then exit 1; fi
 
